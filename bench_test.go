@@ -8,7 +8,7 @@
 // Fig. 6     -> BenchmarkFig6a/b/c/d   (profile quality on parallelized programs)
 // Table IV   -> BenchmarkTable4        (conflicts at the parallelized locations)
 // Table V    -> BenchmarkTable5_*      (virtual-time speedups, 4 workers)
-// Ablations  -> BenchmarkAblation*     (design choices called out in DESIGN.md)
+// Ablations  -> BenchmarkAblation*     (the core.Options knobs documented in internal/core/profiler.go)
 //
 // Benchmarks report paper-facing numbers as custom metrics (slowdown-x,
 // speedup-x, violRAW, ...) so `go test -bench` output doubles as the
@@ -209,7 +209,7 @@ func BenchmarkTable5_Ogg(b *testing.B)   { benchTable5(b, progs.Ogg()) }
 func BenchmarkTable5_Par2(b *testing.B)  { benchTable5(b, progs.Par2()) }
 func BenchmarkTable5_AES(b *testing.B)   { benchTable5(b, progs.AES()) }
 
-// ---------- Ablations (DESIGN.md §6) ----------
+// ---------- Ablations (core.Options, internal/core/profiler.go) ----------
 
 // BenchmarkAblationPoolSize varies the construct-pool preallocation; the
 // profile must not change, and allocation counts show how lazy

@@ -283,16 +283,18 @@ func parseTypes(s string) ([]alchemist.DepType, error) {
 // A non-nil progress receives live per-job step counts, with each job
 // marked done as it completes.
 func profileMerged(ctx context.Context, reg *obs.Registry, name, src string, jobs []alchemist.ProfileJob, memWords int64, workers int, progress *obs.Progress) (*alchemist.Profile, error) {
-	eng := alchemist.NewEngine(
-		alchemist.WithWorkers(workers),
-		alchemist.WithRegistry(reg),
-		alchemist.WithDefaultProfileConfig(alchemist.ProfileConfig{
-			RunConfig: alchemist.RunConfig{MemWords: memWords},
-		}),
-	)
+	eng := alchemist.NewEngine(alchemist.WithWorkers(workers), alchemist.WithRegistry(reg))
 	prog, err := eng.Compile(ctx, name, src)
 	if err != nil {
 		return nil, err
+	}
+	for i := range jobs {
+		cfg := &alchemist.ProfileConfig{RunConfig: alchemist.RunConfig{MemWords: memWords}}
+		if progress != nil {
+			progress.Update(i, 0)
+			cfg.OnProgress = func(steps int64) { progress.Update(i, steps) }
+		}
+		jobs[i].Config = cfg
 	}
 	if progress == nil {
 		merged, _, err := eng.ProfileBatch(ctx, prog, jobs)
@@ -300,11 +302,6 @@ func profileMerged(ctx context.Context, reg *obs.Registry, name, src string, job
 	}
 	// Stream per-job completions so the live display can count finished
 	// jobs, then merge exactly as ProfileBatch would.
-	for i := range jobs {
-		i := i
-		progress.Update(i, 0)
-		jobs[i].OnProgress = func(steps int64) { progress.Update(i, steps) }
-	}
 	results := make([]alchemist.BatchResult, len(jobs))
 	for r := range eng.ProfileEach(ctx, prog, jobs) {
 		results[r.Job] = r

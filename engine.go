@@ -42,9 +42,9 @@ type CompileOptions struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithWorkers bounds the number of profiling runs an Engine executes
-// concurrently in ProfileBatch / ProfileEach. Values < 1 fall back to
-// runtime.GOMAXPROCS(0).
+// WithWorkers bounds the number of batch jobs an Engine executes
+// concurrently in ProfileBatch / ProfileEach / RunBatch. Values < 1 fall
+// back to runtime.GOMAXPROCS(0).
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
@@ -56,18 +56,6 @@ func WithWorkers(n int) Option {
 // rather than thrashing.
 func WithCacheSize(n int) Option {
 	return func(e *Engine) { e.cacheCap = n }
-}
-
-// WithDefaultProfileConfig sets the ProfileConfig used by batch jobs
-// that do not carry their own config.
-func WithDefaultProfileConfig(cfg ProfileConfig) Option {
-	return func(e *Engine) { e.defProfile = cfg }
-}
-
-// WithCompileOptions sets the options Engine.Compile uses; CompileWith
-// always overrides them per call.
-func WithCompileOptions(co CompileOptions) Option {
-	return func(e *Engine) { e.defCompile = co }
 }
 
 // WithRegistry installs the metrics registry the Engine instruments
@@ -110,17 +98,15 @@ type CacheStats struct {
 // The free functions of this package (Compile, Program.Profile, ...)
 // remain as deprecated wrappers over a package-default Engine.
 type Engine struct {
-	workers    int
-	cacheCap   int
-	defProfile ProfileConfig
-	defCompile CompileOptions
+	workers  int
+	cacheCap int
 
 	reg *obs.Registry
 	em  *engineMetrics
 	vmm *vm.Metrics
 
-	// sem bounds concurrent batch profiling runs across all
-	// ProfileBatch/ProfileEach calls on this Engine.
+	// sem bounds concurrent batch jobs across all ProfileBatch,
+	// ProfileEach and RunBatch calls on this Engine.
 	sem chan struct{}
 
 	// scratch recycles per-worker profiling buffers (shadow memory,
@@ -294,7 +280,7 @@ func programCost(p *Program) int64 {
 // entirely. The returned *Program is shared: it is immutable after
 // compilation and safe for concurrent Run/Profile calls.
 func (e *Engine) Compile(ctx context.Context, name, src string) (*Program, error) {
-	return e.CompileWith(ctx, name, src, e.defCompile)
+	return e.CompileWith(ctx, name, src, CompileOptions{})
 }
 
 // CompileWith is Compile with explicit per-call options. Concurrent
@@ -425,46 +411,34 @@ func (e *Engine) Profile(ctx context.Context, p *Program, cfg ProfileConfig) (*P
 type ProfileJob struct {
 	// Input is served to the program via the in()/inlen() builtins.
 	Input []int64
-	// Config overrides the engine's default profile config for this job.
-	// When nil the engine default applies. In both cases a non-nil
-	// Input above replaces the config's Input field.
+	// Config configures this job; nil means the zero ProfileConfig. A
+	// non-nil Input above replaces the config's Input field. Set
+	// Config.OnProgress for per-job step reports; it is called from the
+	// job's worker goroutine, so one callback shared across jobs must be
+	// safe for concurrent use.
 	Config *ProfileConfig
-	// OnProgress, when set, receives the job's executed instruction
-	// count: every vm.CancelCheckInterval steps — piggybacked on the
-	// dispatch loop's existing cancellation check, so it costs nothing
-	// extra per instruction — and once more with the final total when
-	// the job completes. Reports are monotonically non-decreasing and
-	// delivered from the job's worker goroutine; the callback must be
-	// safe for concurrent use across jobs. It overrides any OnProgress
-	// in the job's config.
-	OnProgress func(steps int64)
 }
 
-// BatchResult is the outcome of one ProfileJob.
+// RunJob is one uninstrumented execution within a batch: an input
+// stream plus an optional per-job run config.
+type RunJob struct {
+	// Input is served to the program via the in()/inlen() builtins.
+	Input []int64
+	// Config configures this job exactly as ProfileJob.Config does; nil
+	// means the zero RunConfig.
+	Config *RunConfig
+}
+
+// BatchResult is the outcome of one ProfileJob or RunJob.
 type BatchResult struct {
-	// Job indexes into the jobs slice passed to ProfileBatch/ProfileEach.
+	// Job indexes into the jobs slice passed to the batch call.
 	Job int
-	// Profile and Run are set when Err is nil.
+	// Profile (profiling jobs only) and Run are set when Err is nil.
 	Profile *Profile
 	Run     *RunResult
 	// Err is the job's failure, including ctx.Err() for jobs abandoned
 	// after cancellation.
 	Err error
-}
-
-// profileJobConfig resolves the effective config for one job.
-func (e *Engine) profileJobConfig(job ProfileJob) ProfileConfig {
-	cfg := e.defProfile
-	if job.Config != nil {
-		cfg = *job.Config
-	}
-	if job.Input != nil {
-		cfg.Input = job.Input
-	}
-	if job.OnProgress != nil {
-		cfg.OnProgress = job.OnProgress
-	}
-	return cfg
 }
 
 func (e *Engine) scratchGet() *core.Scratch {
@@ -489,71 +463,23 @@ func (e *Engine) flushProfileStats(prof *Profile) {
 	e.em.poolAllocated.Add(prof.Pool.Allocated)
 }
 
-// runJob executes one batch job on a worker slot: scratch buffers come
-// from the per-worker pool, the VM reports into the engine's registry,
-// and the job's wall time lands in the jobWall histogram.
-func (e *Engine) runJob(ctx context.Context, p *Program, i int, job ProfileJob) BatchResult {
-	cfg := e.profileJobConfig(job)
-	cfg.metrics = e.vmm
-	sc := e.scratchGet()
-	cfg.scratch = sc
-
-	_, sp := xtrace.StartSpan(ctx, "profile")
-	sp.SetAttr("batch_job", strconv.Itoa(i))
-
-	e.em.inflightJobs.Add(1)
-	start := time.Now()
-	var (
-		prof *Profile
-		res  *RunResult
-		err  error
-	)
-	// The worker goroutine inherits any job_id/endpoint pprof labels from
-	// its spawner; batch_job narrows CPU samples to this run.
-	pprof.Do(ctx, pprof.Labels("batch_job", strconv.Itoa(i)), func(ctx context.Context) {
-		prof, res, err = p.ProfileCtx(ctx, cfg)
-	})
-	e.em.jobWall.Observe(time.Since(start).Seconds())
-	e.em.inflightJobs.Add(-1)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	sp.End()
-
-	e.scratchPut(sc)
-	e.flushProfileStats(prof)
-	e.em.jobs.Inc()
-	if err != nil {
-		e.em.jobErrors.Inc()
-	}
-	return BatchResult{Job: i, Profile: prof, Run: res, Err: err}
-}
-
-// fanOut schedules n jobs onto the engine's worker pool, streaming one
-// result per job in completion order on the returned channel (closed
+// fanOut schedules n batch jobs onto the engine's worker pool, streaming
+// one result per job in completion order on the returned channel (closed
 // after the last result). Jobs wait in the queue-depth gauge until a
-// worker slot frees; cancellation fails not-yet-started jobs via abort.
-func fanOut[R any](e *Engine, ctx context.Context, n int, run func(i int) R, abort func(i int, err error) R) <-chan R {
-	out := make(chan R, n)
+// worker slot frees; cancellation fails not-yet-started jobs with
+// ctx.Err().
+func (e *Engine) fanOut(ctx context.Context, kind string, n int, run func(ctx context.Context, i int) BatchResult) <-chan BatchResult {
+	if ctx == nil { // tolerate nil like every other entry point
+		ctx = context.Background()
+	}
+	out := make(chan BatchResult, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		go func(i int) {
+		go func(ctx context.Context, i int) {
 			defer wg.Done()
-			e.em.queueDepth.Add(1)
-			select {
-			case e.sem <- struct{}{}:
-				e.em.queueDepth.Add(-1)
-				defer func() { <-e.sem }()
-			case <-ctx.Done():
-				e.em.queueDepth.Add(-1)
-				e.em.jobs.Inc()
-				e.em.jobErrors.Inc()
-				out <- abort(i, ctx.Err())
-				return
-			}
-			out <- run(i)
-		}(i)
+			out <- e.slot(ctx, kind, i, run)
+		}(ctx, i)
 	}
 	go func() {
 		wg.Wait()
@@ -562,18 +488,78 @@ func fanOut[R any](e *Engine, ctx context.Context, n int, run func(i int) R, abo
 	return out
 }
 
-// ProfileEach fans the jobs over the engine's worker pool and streams
-// one BatchResult per job in completion order. The returned channel is
-// closed after the last result. Cancelling ctx aborts running jobs
-// (each observes it within one VM step-check window) and fails
-// not-yet-started ones with ctx.Err().
-func (e *Engine) ProfileEach(ctx context.Context, p *Program, jobs []ProfileJob) <-chan BatchResult {
-	if ctx == nil { // tolerate nil like every other entry point
-		ctx = context.Background()
+// slot runs batch job i on a worker slot once one frees. The job gets a
+// span named by kind, a batch_job pprof label narrowing CPU samples to
+// it (the worker goroutine inherits any job_id/endpoint labels from its
+// spawner), and one count in the in-flight, wall-time and job metrics.
+func (e *Engine) slot(ctx context.Context, kind string, i int, run func(ctx context.Context, i int) BatchResult) BatchResult {
+	e.em.queueDepth.Add(1)
+	select {
+	case e.sem <- struct{}{}:
+		e.em.queueDepth.Add(-1)
+		defer func() { <-e.sem }()
+	case <-ctx.Done():
+		e.em.queueDepth.Add(-1)
+		e.em.jobs.Inc()
+		e.em.jobErrors.Inc()
+		return BatchResult{Job: i, Err: ctx.Err()}
 	}
-	return fanOut(e, ctx, len(jobs),
-		func(i int) BatchResult { return e.runJob(ctx, p, i, jobs[i]) },
-		func(i int, err error) BatchResult { return BatchResult{Job: i, Err: err} })
+	label := strconv.Itoa(i)
+	_, sp := xtrace.StartSpan(ctx, kind)
+	sp.SetAttr("batch_job", label)
+
+	e.em.inflightJobs.Add(1)
+	start := time.Now()
+	var r BatchResult
+	pprof.Do(ctx, pprof.Labels("batch_job", label), func(ctx context.Context) {
+		r = run(ctx, i)
+	})
+	e.em.jobWall.Observe(time.Since(start).Seconds())
+	e.em.inflightJobs.Add(-1)
+	e.em.jobs.Inc()
+	if r.Err != nil {
+		e.em.jobErrors.Inc()
+		sp.SetAttr("error", r.Err.Error())
+	}
+	sp.End()
+	r.Job = i
+	return r
+}
+
+// collect gathers a fan-out's results in job order. The error is the
+// failure of the lowest-indexed failing job; the results still carry
+// every individual outcome.
+func collect(ch <-chan BatchResult, n int) ([]BatchResult, error) {
+	results := make([]BatchResult, n)
+	for r := range ch {
+		results[r.Job] = r
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			return results, fmt.Errorf("alchemist: batch job %d: %w", i, r.Err)
+		}
+	}
+	return results, nil
+}
+
+// ProfileEach fans the jobs over the engine's worker pool, running each
+// through Engine.Profile, and streams one BatchResult per job in
+// completion order. The returned channel is closed after the last
+// result. Cancelling ctx aborts running jobs (each observes it within
+// one VM step-check window) and fails not-yet-started ones with
+// ctx.Err().
+func (e *Engine) ProfileEach(ctx context.Context, p *Program, jobs []ProfileJob) <-chan BatchResult {
+	return e.fanOut(ctx, "profile", len(jobs), func(ctx context.Context, i int) BatchResult {
+		var cfg ProfileConfig
+		if jobs[i].Config != nil {
+			cfg = *jobs[i].Config
+		}
+		if jobs[i].Input != nil {
+			cfg.Input = jobs[i].Input
+		}
+		prof, res, err := e.Profile(ctx, p, cfg)
+		return BatchResult{Profile: prof, Run: res, Err: err}
+	})
 }
 
 // ProfileBatch profiles p over all jobs concurrently and merges the
@@ -587,15 +573,12 @@ func (e *Engine) ProfileBatch(ctx context.Context, p *Program, jobs []ProfileJob
 	if len(jobs) == 0 {
 		return nil, nil, fmt.Errorf("alchemist: ProfileBatch needs at least one job")
 	}
-	results := make([]BatchResult, len(jobs))
-	for r := range e.ProfileEach(ctx, p, jobs) {
-		results[r.Job] = r
+	results, err := collect(e.ProfileEach(ctx, p, jobs), len(jobs))
+	if err != nil {
+		return nil, results, err
 	}
 	profiles := make([]*Profile, len(jobs))
 	for i, r := range results {
-		if r.Err != nil {
-			return nil, results, fmt.Errorf("alchemist: batch job %d: %w", i, r.Err)
-		}
 		profiles[i] = r.Profile
 	}
 	merged, err := Merge(profiles...)
@@ -605,112 +588,26 @@ func (e *Engine) ProfileBatch(ctx context.Context, p *Program, jobs []ProfileJob
 	return merged, results, nil
 }
 
-// RunJob is one uninstrumented execution within a batch: an input
-// stream plus an optional per-job run config.
-type RunJob struct {
-	// Input is served to the program via the in()/inlen() builtins.
-	Input []int64
-	// Config overrides the engine's default run config (the RunConfig
-	// embedded in the default profile config) for this job. In both
-	// cases a non-nil Input above replaces the config's Input field.
-	Config *RunConfig
-	// OnProgress mirrors ProfileJob.OnProgress: executed-step reports
-	// every vm.CancelCheckInterval steps plus a final total, delivered
-	// from the job's worker goroutine. It overrides any OnProgress in
-	// the job's config.
-	OnProgress func(steps int64)
-}
-
-// RunBatchResult is the outcome of one RunJob.
-type RunBatchResult struct {
-	// Job indexes into the jobs slice passed to RunBatch/RunEach.
-	Job int
-	// Run is set when Err is nil.
-	Run *RunResult
-	// Err is the job's failure, including ctx.Err() for jobs abandoned
-	// after cancellation.
-	Err error
-}
-
-// runJobConfig resolves the effective run config for one job.
-func (e *Engine) runJobConfig(job RunJob) RunConfig {
-	cfg := e.defProfile.RunConfig
-	if job.Config != nil {
-		cfg = *job.Config
-	}
-	if job.Input != nil {
-		cfg.Input = job.Input
-	}
-	if job.OnProgress != nil {
-		cfg.OnProgress = job.OnProgress
-	}
-	return cfg
-}
-
-// runRunJob executes one plain-run batch job on a worker slot, counted
-// under the same job metrics as profiling jobs.
-func (e *Engine) runRunJob(ctx context.Context, p *Program, i int, job RunJob) RunBatchResult {
-	cfg := e.runJobConfig(job)
-	cfg.metrics = e.vmm
-
-	_, sp := xtrace.StartSpan(ctx, "run")
-	sp.SetAttr("batch_job", strconv.Itoa(i))
-
-	e.em.inflightJobs.Add(1)
-	start := time.Now()
-	var (
-		res *RunResult
-		err error
-	)
-	pprof.Do(ctx, pprof.Labels("batch_job", strconv.Itoa(i)), func(ctx context.Context) {
-		res, err = p.RunCtx(ctx, cfg)
-	})
-	e.em.jobWall.Observe(time.Since(start).Seconds())
-	e.em.inflightJobs.Add(-1)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	sp.End()
-
-	e.em.jobs.Inc()
-	if err != nil {
-		e.em.jobErrors.Inc()
-	}
-	return RunBatchResult{Job: i, Run: res, Err: err}
-}
-
-// RunEach fans uninstrumented executions over the engine's worker pool
-// — the same pool ProfileEach draws from, so mixed run/profile load
-// shares one concurrency bound — and streams one RunBatchResult per job
-// in completion order. The returned channel is closed after the last
-// result.
-func (e *Engine) RunEach(ctx context.Context, p *Program, jobs []RunJob) <-chan RunBatchResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return fanOut(e, ctx, len(jobs),
-		func(i int) RunBatchResult { return e.runRunJob(ctx, p, i, jobs[i]) },
-		func(i int, err error) RunBatchResult { return RunBatchResult{Job: i, Err: err} })
-}
-
-// RunBatch executes p over all jobs concurrently, mirroring
-// ProfileBatch for plain runs: results come back in job order, and the
-// returned error is the failure of the lowest-indexed failing job (the
-// per-job results still carry every individual outcome).
-func (e *Engine) RunBatch(ctx context.Context, p *Program, jobs []RunJob) ([]RunBatchResult, error) {
+// RunBatch executes p over all jobs concurrently through Engine.Run, on
+// the same worker pool as the profiling batches, so mixed run/profile
+// load shares one concurrency bound. Results come back in job order,
+// and the returned error is the failure of the lowest-indexed failing
+// job (the per-job results still carry every individual outcome).
+func (e *Engine) RunBatch(ctx context.Context, p *Program, jobs []RunJob) ([]BatchResult, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("alchemist: RunBatch needs at least one job")
 	}
-	results := make([]RunBatchResult, len(jobs))
-	for r := range e.RunEach(ctx, p, jobs) {
-		results[r.Job] = r
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			return results, fmt.Errorf("alchemist: batch job %d: %w", i, r.Err)
+	return collect(e.fanOut(ctx, "run", len(jobs), func(ctx context.Context, i int) BatchResult {
+		var cfg RunConfig
+		if jobs[i].Config != nil {
+			cfg = *jobs[i].Config
 		}
-	}
-	return results, nil
+		if jobs[i].Input != nil {
+			cfg.Input = jobs[i].Input
+		}
+		res, err := e.Run(ctx, p, cfg)
+		return BatchResult{Run: res, Err: err}
+	}), len(jobs))
 }
 
 // defaultEngine backs the deprecated package-level facade functions.

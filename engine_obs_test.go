@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -15,6 +16,7 @@ import (
 
 	"alchemist"
 	"alchemist/internal/obs"
+	"alchemist/internal/xtrace"
 )
 
 // counter reads a registry counter by name without creating noise: the
@@ -245,11 +247,13 @@ func TestProfileJobOnProgress(t *testing.T) {
 		i := i
 		jobs[i] = alchemist.ProfileJob{
 			Input: []int64{int64(i), 5, 9},
-			OnProgress: func(steps int64) {
-				mu.Lock()
-				reports[i] = append(reports[i], steps)
-				mu.Unlock()
-			},
+			Config: &alchemist.ProfileConfig{RunConfig: alchemist.RunConfig{
+				OnProgress: func(steps int64) {
+					mu.Lock()
+					reports[i] = append(reports[i], steps)
+					mu.Unlock()
+				},
+			}},
 		}
 	}
 	_, results, err := eng.ProfileBatch(ctx, prog, jobs)
@@ -287,10 +291,10 @@ func TestProfileJobOnProgressCancel(t *testing.T) {
 	// Jobs start in arbitrary order, so every job cancels on its first
 	// progress report: whichever runs first aborts itself mid-run, and
 	// the queued jobs fail without starting.
-	onFirst := func(int64) { cancel() }
-	jobs := []alchemist.ProfileJob{
-		{OnProgress: onFirst}, {OnProgress: onFirst}, {OnProgress: onFirst},
-	}
+	cfg := &alchemist.ProfileConfig{RunConfig: alchemist.RunConfig{
+		OnProgress: func(int64) { cancel() },
+	}}
+	jobs := []alchemist.ProfileJob{{Config: cfg}, {Config: cfg}, {Config: cfg}}
 	merged, results, err := eng.ProfileBatch(ctx, prog, jobs)
 	if merged != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch = (%v, %v), want context.Canceled", merged, err)
@@ -299,5 +303,61 @@ func TestProfileJobOnProgressCancel(t *testing.T) {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("job %d err = %v, want context.Canceled", i, r.Err)
 		}
+	}
+}
+
+// spanSink collects ended spans.
+type spanSink struct {
+	mu    sync.Mutex
+	spans []xtrace.SpanRecord
+}
+
+func (s *spanSink) RecordSpan(rec xtrace.SpanRecord) {
+	s.mu.Lock()
+	s.spans = append(s.spans, rec)
+	s.mu.Unlock()
+}
+
+// TestBatchJobSpans: every batch job, profiled or plainly run, gets one
+// span named by its kind with its batch_job index, and a failing job's
+// span carries the error.
+func TestBatchJobSpans(t *testing.T) {
+	var sink spanSink
+	ctx := xtrace.ContextWithRecorder(context.Background(), &sink)
+	eng := alchemist.NewEngine(alchemist.WithWorkers(2))
+	prog, err := eng.Compile(ctx, "batch.mc", batchSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := eng.ProfileBatch(ctx, prog, []alchemist.ProfileJob{{Input: []int64{1}}, {Input: []int64{2}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunBatch(ctx, prog, []alchemist.RunJob{
+		{Input: []int64{1}},
+		{Input: []int64{2}, Config: &alchemist.RunConfig{StepLimit: 5}},
+	}); err == nil {
+		t.Fatal("expected the StepLimit job to fail")
+	}
+
+	got := map[string]bool{}
+	for _, sp := range sink.spans {
+		if sp.Name == "compile" {
+			continue
+		}
+		key := sp.Name + "/" + sp.Attrs["batch_job"]
+		got[key] = true
+		if wantErr := key == "run/1"; (sp.Attrs["error"] != "") != wantErr {
+			t.Errorf("span %s error attr = %q, want error: %v", key, sp.Attrs["error"], wantErr)
+		}
+	}
+	want := map[string]bool{"profile/0": true, "profile/1": true, "run/0": true, "run/1": true}
+	if len(sink.spans) != 5 || !reflect.DeepEqual(got, want) {
+		t.Errorf("batch spans = %v (of %d spans), want %v plus one compile span", got, len(sink.spans), want)
+	}
+	if got := counter(eng.Metrics(), "alchemist_engine_jobs_total"); got != 4 {
+		t.Errorf("jobs_total = %d, want 4", got)
+	}
+	if got := counter(eng.Metrics(), "alchemist_engine_job_errors_total"); got != 1 {
+		t.Errorf("job_errors_total = %d, want 1", got)
 	}
 }

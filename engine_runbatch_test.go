@@ -118,13 +118,13 @@ func TestRunJobOnProgress(t *testing.T) {
 	var calls atomic.Int64
 	results, err := eng.RunBatch(context.Background(), prog, []RunJob{{
 		Input: []int64{50000},
-		OnProgress: func(steps int64) {
+		Config: &RunConfig{OnProgress: func(steps int64) {
 			calls.Add(1)
 			if prev := last.Load(); steps < prev {
 				t.Errorf("progress went backwards: %d after %d", steps, prev)
 			}
 			last.Store(steps)
-		},
+		}},
 	}})
 	if err != nil {
 		t.Fatal(err)

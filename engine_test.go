@@ -315,25 +315,39 @@ func TestProfileRejectsParallel(t *testing.T) {
 	}
 }
 
-// TestWithDefaultProfileConfig: batch jobs without a config inherit the
-// engine default, with the job input substituted.
-func TestWithDefaultProfileConfig(t *testing.T) {
+// TestProfileJobConfig: a batch job runs under its own config, with the
+// job input substituted.
+func TestProfileJobConfig(t *testing.T) {
 	ctx := context.Background()
-	eng := alchemist.NewEngine(alchemist.WithDefaultProfileConfig(alchemist.ProfileConfig{
-		RunConfig: alchemist.RunConfig{StepLimit: 50},
-	}))
+	eng := alchemist.NewEngine()
 	prog, err := eng.Compile(ctx, "batch.mc", batchSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, results, err := eng.ProfileBatch(ctx, prog, []alchemist.ProfileJob{
-		{Input: []int64{1, 2, 3}},
+		{
+			Input:  []int64{1, 2, 3},
+			Config: &alchemist.ProfileConfig{RunConfig: alchemist.RunConfig{StepLimit: 50}},
+		},
+		{
+			Input:  []int64{5},
+			Config: &alchemist.ProfileConfig{RunConfig: alchemist.RunConfig{Input: []int64{1, 2, 3, 4}}},
+		},
 	})
 	if err == nil {
-		t.Fatal("expected the inherited StepLimit to trap")
+		t.Fatal("expected the job's StepLimit to trap")
 	}
 	if r := results[0]; r.Err == nil || !errContains(r.Err, "step limit") {
 		t.Errorf("job err = %v, want step-limit trap", r.Err)
+	}
+	_, want, err := eng.Profile(ctx, prog, alchemist.ProfileConfig{
+		RunConfig: alchemist.RunConfig{Input: []int64{5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := results[1]; r.Err != nil || r.Run.Steps != want.Steps {
+		t.Errorf("job 1 = (%v, %+v), want the job input to replace the config's (steps %d)", r.Err, r.Run, want.Steps)
 	}
 }
 

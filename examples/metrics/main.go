@@ -51,14 +51,13 @@ func main() {
 	scales := []int{512, 768, 1024}
 	jobs := make([]alchemist.ProfileJob, len(scales))
 	for i, scale := range scales {
-		i := i
 		jobs[i] = alchemist.ProfileJob{
 			Input: w.InputFor(scale),
 			Config: &alchemist.ProfileConfig{
-				RunConfig: alchemist.RunConfig{MemWords: w.MemWords},
-			},
-			OnProgress: func(steps int64) {
-				progress.Update(i, steps)
+				RunConfig: alchemist.RunConfig{
+					MemWords:   w.MemWords,
+					OnProgress: func(steps int64) { progress.Update(i, steps) },
+				},
 			},
 		}
 	}

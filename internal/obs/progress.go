@@ -16,8 +16,8 @@ type JobProgress struct {
 }
 
 // Progress aggregates per-job step reports from long-running work — the
-// natural sink for Engine ProfileJob.OnProgress callbacks. It is safe
-// for concurrent use; the zero value is ready to use.
+// natural sink for the RunConfig.OnProgress callbacks of Engine batch
+// jobs. It is safe for concurrent use; the zero value is ready to use.
 type Progress struct {
 	mu      sync.Mutex
 	jobs    map[int]*JobProgress

@@ -43,13 +43,23 @@ type SourceSpec struct {
 	// Optimize compiles with the optimization passes.
 	Optimize bool `json:"optimize,omitempty"`
 	// MemWords overrides the VM memory size (inline source only;
-	// workloads bring their own).
+	// workloads bring their own). Values outside [0, maxMemWords] are
+	// refused.
 	MemWords int64 `json:"mem_words,omitempty"`
 }
 
-// resolve turns the spec into a compile unit plus one ProfileJob per
-// input. All failures are user errors.
-func (sp SourceSpec) resolve() (name, src string, jobs []alchemist.ProfileJob, memWords int64, err error) {
+// maxMemWords caps a request's mem_words: 1<<24 words (128 MiB), four
+// times the VM default. The VM itself accepts far more, and a request
+// must not be able to make it allocate that much.
+const maxMemWords = 1 << 24
+
+// resolve turns the spec into a compile unit plus one input stream per
+// batch job (a nil stream runs the default input). All failures are user
+// errors.
+func (sp SourceSpec) resolve() (name, src string, inputs [][]int64, memWords int64, err error) {
+	if sp.MemWords < 0 || sp.MemWords > maxMemWords {
+		return "", "", nil, 0, fmt.Errorf("mem_words %d out of range [0, %d]", sp.MemWords, maxMemWords)
+	}
 	switch {
 	case sp.Workload != "" && sp.Source != "":
 		return "", "", nil, 0, errors.New("request has both source and workload; pick one")
@@ -66,9 +76,9 @@ func (sp SourceSpec) resolve() (name, src string, jobs []alchemist.ProfileJob, m
 			scales = []int{0}
 		}
 		for _, sc := range scales {
-			jobs = append(jobs, alchemist.ProfileJob{Input: w.InputFor(sc)})
+			inputs = append(inputs, w.InputFor(sc))
 		}
-		return w.Name + ".mc", w.Source, jobs, w.MemWords, nil
+		return w.Name + ".mc", w.Source, inputs, w.MemWords, nil
 	case sp.Source != "":
 		if len(sp.Scales) > 0 {
 			return "", "", nil, 0, errors.New("scales apply to workloads; use inputs with inline source")
@@ -77,14 +87,11 @@ func (sp SourceSpec) resolve() (name, src string, jobs []alchemist.ProfileJob, m
 		if name == "" {
 			name = "request.mc"
 		}
-		inputs := sp.Inputs
+		inputs = sp.Inputs
 		if len(inputs) == 0 {
 			inputs = [][]int64{nil}
 		}
-		for _, in := range inputs {
-			jobs = append(jobs, alchemist.ProfileJob{Input: in})
-		}
-		return name, sp.Source, jobs, sp.MemWords, nil
+		return name, sp.Source, inputs, sp.MemWords, nil
 	default:
 		return "", "", nil, 0, errors.New("request needs source or workload")
 	}
@@ -107,8 +114,7 @@ type CompileResponse struct {
 	Instructions int    `json:"instructions"`
 }
 
-// ProfileRequest is the body of POST /v1/profile and the payload of
-// "profile"/"advise" jobs.
+// ProfileRequest is the body of POST /v1/profile and POST /v1/advise.
 type ProfileRequest struct {
 	SourceSpec
 	// TimeoutMS bounds the work's wall-clock time (default: the
@@ -162,7 +168,7 @@ type AdviseResponse struct {
 	Reports []AdviceJSON `json:"reports"`
 }
 
-// RunRequest is the body of POST /v1/run and the payload of "run" jobs.
+// RunRequest is the body of POST /v1/run.
 type RunRequest struct {
 	SourceSpec
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -178,7 +184,8 @@ type RunResponse struct {
 }
 
 // JobRequest is the body of POST /v1/jobs: the union of the sync
-// request shapes plus the kind discriminator.
+// request shapes plus the kind discriminator. Sync requests are lifted
+// into it too, so one executor serves both paths.
 type JobRequest struct {
 	// Kind selects the work: "profile", "advise", or "run".
 	Kind string `json:"kind"`
@@ -187,9 +194,6 @@ type JobRequest struct {
 	Top       int   `json:"top,omitempty"`
 	Parallel  bool  `json:"parallel,omitempty"`
 }
-
-// progressSink receives batch-job step reports; nil discards them.
-type progressSink func(batchJob int, steps int64)
 
 // ---------- sync handlers ----------
 
@@ -235,90 +239,60 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	cl, ok := s.authn(w, r)
-	if !ok || !s.allowRate(w, cl) {
-		return
+// handleSync serves POST /v1/profile, /v1/advise and /v1/run: authn →
+// rate → decode → admit → deadline → execute.
+func (s *Server) handleSync(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		cl, ok := s.authn(w, r)
+		if !ok || !s.allowRate(w, cl) {
+			return
+		}
+		req, err := decodeSync(r, kind)
+		if err != nil {
+			s.writeDecodeError(w, err)
+			return
+		}
+		timeout := s.timeoutFor(req.TimeoutMS)
+		release, ok := s.admitClient(w, cl, timeout)
+		if !ok {
+			return
+		}
+		defer release()
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		defer cancel()
+		resp, err := s.execute(ctx, req, nil)
+		if err != nil {
+			s.writeExecError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	var req ProfileRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeDecodeError(w, err)
-		return
-	}
-	timeout := s.timeoutFor(req.TimeoutMS)
-	release, ok := s.admitClient(w, cl, timeout)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	resp, err := s.profile(ctx, req, nil)
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	cl, ok := s.authn(w, r)
-	if !ok || !s.allowRate(w, cl) {
-		return
+// decodeSync decodes a sync route's body as that route's own request
+// type, so a run body rejects "top" and a profile or advise body rejects
+// "parallel" as unknown fields, and lifts it into a JobRequest of kind.
+func decodeSync(r *http.Request, kind string) (JobRequest, error) {
+	if kind == "run" {
+		var rr RunRequest
+		err := decodeJSON(r, &rr)
+		return JobRequest{Kind: kind, SourceSpec: rr.SourceSpec, TimeoutMS: rr.TimeoutMS, Parallel: rr.Parallel}, err
 	}
-	var req ProfileRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeDecodeError(w, err)
-		return
-	}
-	timeout := s.timeoutFor(req.TimeoutMS)
-	release, ok := s.admitClient(w, cl, timeout)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	resp, err := s.advise(ctx, req, nil)
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	cl, ok := s.authn(w, r)
-	if !ok || !s.allowRate(w, cl) {
-		return
-	}
-	var req RunRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeDecodeError(w, err)
-		return
-	}
-	timeout := s.timeoutFor(req.TimeoutMS)
-	release, ok := s.admitClient(w, cl, timeout)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	resp, err := s.run(ctx, req, nil)
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	var pr ProfileRequest
+	err := decodeJSON(r, &pr)
+	return JobRequest{Kind: kind, SourceSpec: pr.SourceSpec, TimeoutMS: pr.TimeoutMS, Top: pr.Top}, err
 }
 
 // ---------- work execution (shared by sync handlers and async jobs) ----------
 
-// profile compiles and profiles the request's input suite on the shared
-// engine, reporting per-batch-job progress into sink.
-func (s *Server) profile(ctx context.Context, req ProfileRequest, sink progressSink) (*ProfileResponse, error) {
-	name, src, pjobs, memWords, err := req.resolve()
+// execute runs one request of any kind on the shared engine: it resolves
+// the spec, compiles once, fans one batch job per input out through
+// RunBatch ("run") or ProfileBatch ("profile", "advise"), and shapes the
+// response by kind. Profiling ignores Parallel and plain runs ignore
+// Top. onProgress, when non-nil, receives every batch job's step
+// reports.
+func (s *Server) execute(ctx context.Context, req JobRequest, onProgress func(batchJob int, steps int64)) (any, error) {
+	name, src, inputs, memWords, err := req.resolve()
 	if err != nil {
 		return nil, userErr(err)
 	}
@@ -327,62 +301,57 @@ func (s *Server) profile(ctx context.Context, req ProfileRequest, sink progressS
 	if err != nil {
 		return nil, userErr(err)
 	}
-	for i := range pjobs {
-		pjobs[i].Config = &alchemist.ProfileConfig{
-			RunConfig: alchemist.RunConfig{MemWords: memWords},
+	cfgs := make([]alchemist.ProfileConfig, len(inputs))
+	for i, in := range inputs {
+		cfgs[i].Input, cfgs[i].MemWords = in, memWords
+		if onProgress != nil {
+			cfgs[i].OnProgress = func(steps int64) { onProgress(i, steps) }
 		}
-		if sink != nil {
-			i := i
-			pjobs[i].OnProgress = func(steps int64) { sink(i, steps) }
+	}
+
+	if req.Kind == "run" {
+		rjobs := make([]alchemist.RunJob, len(cfgs))
+		for i := range cfgs {
+			cfgs[i].Parallel = req.Parallel
+			rjobs[i].Config = &cfgs[i].RunConfig
 		}
+		results, err := s.eng.RunBatch(ctx, prog, rjobs)
+		if err != nil {
+			return nil, err
+		}
+		return &RunResponse{Name: name, Jobs: len(rjobs), Runs: summarize(results)}, nil
+	}
+
+	pjobs := make([]alchemist.ProfileJob, len(cfgs))
+	for i := range cfgs {
+		pjobs[i].Config = &cfgs[i]
 	}
 	merged, results, err := s.eng.ProfileBatch(ctx, prog, pjobs)
 	if err != nil {
 		return nil, err
 	}
+	if req.Kind == "advise" {
+		return advice(name, len(pjobs), merged, req.Top), nil
+	}
 	resp := &ProfileResponse{
 		Name:    name,
 		Jobs:    len(pjobs),
 		Profile: report.ToJSON(merged),
+		Runs:    summarize(results),
 	}
 	if req.Top > 0 && len(resp.Profile.Constructs) > req.Top {
 		resp.Profile.Constructs = resp.Profile.Constructs[:req.Top]
 	}
-	for _, res := range results {
-		resp.Runs = append(resp.Runs, summarize(res.Job, res.Run))
-	}
 	return resp, nil
 }
 
-// advise is profile plus the advisor pass.
-func (s *Server) advise(ctx context.Context, req ProfileRequest, sink progressSink) (*AdviseResponse, error) {
-	name, src, pjobs, memWords, err := req.resolve()
-	if err != nil {
-		return nil, userErr(err)
-	}
-	prog, err := s.eng.CompileWith(ctx, name, src,
-		alchemist.CompileOptions{Optimize: req.Optimize})
-	if err != nil {
-		return nil, userErr(err)
-	}
-	for i := range pjobs {
-		pjobs[i].Config = &alchemist.ProfileConfig{
-			RunConfig: alchemist.RunConfig{MemWords: memWords},
-		}
-		if sink != nil {
-			i := i
-			pjobs[i].OnProgress = func(steps int64) { sink(i, steps) }
-		}
-	}
-	merged, _, err := s.eng.ProfileBatch(ctx, prog, pjobs)
-	if err != nil {
-		return nil, err
-	}
-	top := req.Top
+// advice ranks the merged profile's constructs for an advise response,
+// keeping the top N (default 8).
+func advice(name string, jobs int, merged *alchemist.Profile, top int) *AdviseResponse {
 	if top <= 0 {
 		top = 8
 	}
-	resp := &AdviseResponse{Name: name, Jobs: len(pjobs)}
+	resp := &AdviseResponse{Name: name, Jobs: jobs}
 	for _, rep := range alchemist.Advise(merged) {
 		if len(resp.Reports) >= top {
 			break
@@ -401,58 +370,24 @@ func (s *Server) advise(ctx context.Context, req ProfileRequest, sink progressSi
 		}
 		resp.Reports = append(resp.Reports, aj)
 	}
-	return resp, nil
+	return resp
 }
 
-// run executes the request's input suite uninstrumented via the
-// engine's RunBatch fan-out.
-func (s *Server) run(ctx context.Context, req RunRequest, sink progressSink) (*RunResponse, error) {
-	name, src, pjobs, memWords, err := req.resolve()
-	if err != nil {
-		return nil, userErr(err)
-	}
-	prog, err := s.eng.CompileWith(ctx, name, src,
-		alchemist.CompileOptions{Optimize: req.Optimize})
-	if err != nil {
-		return nil, userErr(err)
-	}
-	rjobs := make([]alchemist.RunJob, len(pjobs))
-	for i, pj := range pjobs {
-		rjobs[i] = alchemist.RunJob{
-			Input:  pj.Input,
-			Config: &alchemist.RunConfig{MemWords: memWords, Parallel: req.Parallel},
+// summarize converts the batch's run results to their wire form,
+// capping each output at 64 words.
+func summarize(results []alchemist.BatchResult) []RunSummary {
+	sums := make([]RunSummary, len(results))
+	for i, r := range results {
+		sums[i] = RunSummary{Job: r.Job}
+		if r.Run == nil {
+			continue
 		}
-		if sink != nil {
-			i := i
-			rjobs[i].OnProgress = func(steps int64) { sink(i, steps) }
-		}
+		sums[i].Steps = r.Run.Steps
+		sums[i].Ret = r.Run.Ret
+		sums[i].OutputLen = len(r.Run.Output)
+		sums[i].Output = r.Run.Output[:min(len(r.Run.Output), 64)]
 	}
-	results, err := s.eng.RunBatch(ctx, prog, rjobs)
-	if err != nil {
-		return nil, err
-	}
-	resp := &RunResponse{Name: name, Jobs: len(rjobs)}
-	for _, res := range results {
-		resp.Runs = append(resp.Runs, summarize(res.Job, res.Run))
-	}
-	return resp, nil
-}
-
-// summarize converts one run result to its wire form, capping output.
-func summarize(jobIdx int, res *alchemist.RunResult) RunSummary {
-	sum := RunSummary{Job: jobIdx}
-	if res == nil {
-		return sum
-	}
-	sum.Steps = res.Steps
-	sum.Ret = res.Ret
-	sum.OutputLen = len(res.Output)
-	out := res.Output
-	if len(out) > 64 {
-		out = out[:64]
-	}
-	sum.Output = out
-	return sum
+	return sums
 }
 
 // ---------- async jobs ----------
@@ -563,7 +498,7 @@ func (s *Server) startJob(j *job, req JobRequest, release func()) {
 	j.mu.Lock()
 	j.cancel = cancel
 	j.mu.Unlock()
-	sink := func(batchJob int, steps int64) {
+	onProgress := func(batchJob int, steps int64) {
 		j.reportProgress(batchJob, steps, s.opts.ProgressInterval)
 	}
 	s.jobWG.Add(1)
@@ -581,17 +516,7 @@ func (s *Server) startJob(j *job, req JobRequest, release func()) {
 				j.RecordSpan(xtrace.MakeRecord(j.trace.TraceID, j.trace.SpanID,
 					"queue", queuedAt, time.Now(), nil))
 			}
-			var result any
-			var err error
-			switch j.kind {
-			case "profile":
-				result, err = s.profile(ctx, ProfileRequest{SourceSpec: req.SourceSpec, Top: req.Top}, sink)
-			case "advise":
-				result, err = s.advise(ctx, ProfileRequest{SourceSpec: req.SourceSpec, Top: req.Top}, sink)
-			case "run":
-				result, err = s.run(ctx, RunRequest{SourceSpec: req.SourceSpec, Parallel: req.Parallel}, sink)
-			}
-			j.finish(result, err)
+			j.finish(s.execute(ctx, req, onProgress))
 			s.sm.jobsActive.Add(-1)
 		})
 	}()
@@ -697,25 +622,31 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
+// lookupJob authenticates the request and finds the job its {id} path
+// names. On failure it has already answered (401, or 404
+// job_not_found) and returns nil.
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
 	if _, ok := s.authn(w, r); !ok {
-		return
+		return nil
 	}
 	j := s.store.get(r.PathValue("id"))
 	if j == nil {
 		httpError(w, http.StatusNotFound, CodeJobNotFound, "no such job %q", r.PathValue("id"))
+	}
+	return j
+}
+
+func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
+	j := s.lookupJob(w, r)
+	if j == nil {
 		return
 	}
 	writeJSON(w, http.StatusOK, j.status(true))
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authn(w, r); !ok {
-		return
-	}
-	j := s.store.get(r.PathValue("id"))
+	j := s.lookupJob(w, r)
 	if j == nil {
-		httpError(w, http.StatusNotFound, CodeJobNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
 	j.mu.Lock()
@@ -735,12 +666,8 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // the whole log. Idle streams emit a ": keepalive" comment every
 // SSEKeepAlive so proxy idle timeouts do not cut them.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authn(w, r); !ok {
-		return
-	}
-	j := s.store.get(r.PathValue("id"))
+	j := s.lookupJob(w, r)
 	if j == nil {
-		httpError(w, http.StatusNotFound, CodeJobNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
 	next := 0
@@ -826,12 +753,8 @@ type JobTraceResponse struct {
 }
 
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authn(w, r); !ok {
-		return
-	}
-	j := s.store.get(r.PathValue("id"))
+	j := s.lookupJob(w, r)
 	if j == nil {
-		httpError(w, http.StatusNotFound, CodeJobNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
 	j.mu.Lock()

@@ -12,9 +12,12 @@
 //	GET    /v1/jobs/{id}        job status, progress, and result
 //	DELETE /v1/jobs/{id}        cancel a running job
 //	GET    /v1/jobs/{id}/events per-step progress stream (SSE)
+//	GET    /v1/jobs/{id}/trace  the job's persisted span timeline
+//	GET    /v1/version          build info
 //	GET    /healthz             liveness + drain state
 //	GET    /metrics             Prometheus text format (plus
 //	       /metrics.json and /debug/pprof/ via the obs handler)
+//	GET    /debug/traces        recently retained and slowest traces
 //
 // One Server fronts one shared Engine. Work is admitted through a
 // bounded queue: when every slot is occupied by a queued-or-running
@@ -477,9 +480,9 @@ func (s *Server) Recovery() RecoveryStats { return s.rec }
 func (s *Server) buildHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/compile", s.instrument("compile", s.handleCompile))
-	mux.HandleFunc("POST /v1/profile", s.instrument("profile", s.handleProfile))
-	mux.HandleFunc("POST /v1/advise", s.instrument("advise", s.handleAdvise))
-	mux.HandleFunc("POST /v1/run", s.instrument("run", s.handleRun))
+	mux.HandleFunc("POST /v1/profile", s.instrument("profile", s.handleSync("profile")))
+	mux.HandleFunc("POST /v1/advise", s.instrument("advise", s.handleSync("advise")))
+	mux.HandleFunc("POST /v1/run", s.instrument("run", s.handleSync("run")))
 	mux.HandleFunc("POST /v1/jobs", s.instrument("jobs_create", s.handleJobCreate))
 	mux.HandleFunc("GET /v1/jobs", s.instrument("jobs_list", s.handleJobList))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("job_get", s.handleJobGet))

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -157,6 +158,27 @@ func TestErrorBodiesGolden(t *testing.T) {
 		{"bad page token", "GET", "/v1/jobs?page_token=@@@", "",
 			http.StatusBadRequest,
 			golden("bad_request", "invalid page_token")},
+		// Each sync route decodes its own request type: profile takes no
+		// "parallel", run takes no "top".
+		{"parallel on profile", "POST", "/v1/profile", `{"parallel":true,"source":"int main() { return 0; }"}`,
+			http.StatusBadRequest,
+			golden("bad_request", `bad request body: json: unknown field \"parallel\"`)},
+		{"top on run", "POST", "/v1/run", `{"top":3,"source":"int main() { return 0; }"}`,
+			http.StatusBadRequest,
+			golden("bad_request", `bad request body: json: unknown field \"top\"`)},
+		// mem_words is clamped before any VM memory is allocated.
+		{"negative mem_words on run", "POST", "/v1/run", `{"source":"int main() { return 0; }","mem_words":-1}`,
+			http.StatusBadRequest,
+			golden("bad_request", "mem_words -1 out of range [0, 16777216]")},
+		{"huge mem_words on run", "POST", "/v1/run", `{"source":"int main() { return 0; }","mem_words":137438953472}`,
+			http.StatusBadRequest,
+			golden("bad_request", "mem_words 137438953472 out of range [0, 16777216]")},
+		{"negative mem_words on job", "POST", "/v1/jobs", `{"kind":"run","source":"int main() { return 0; }","mem_words":-1}`,
+			http.StatusBadRequest,
+			golden("bad_request", "mem_words -1 out of range [0, 16777216]")},
+		{"huge mem_words on job", "POST", "/v1/jobs", `{"kind":"run","source":"int main() { return 0; }","mem_words":137438953472}`,
+			http.StatusBadRequest,
+			golden("bad_request", "mem_words 137438953472 out of range [0, 16777216]")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -235,6 +257,46 @@ func TestRunSync(t *testing.T) {
 	}
 	if rr.Runs[0].Output[0] != 45 || rr.Runs[1].Output[0] != 4950 {
 		t.Errorf("outputs = %v / %v, want [45] / [4950]", rr.Runs[0].Output, rr.Runs[1].Output)
+	}
+}
+
+// TestSyncResultEqualsJobResult: a sync route and an async job of the
+// same kind answer the same body for the same spec. Jobs accept the
+// union of the request fields and ignore those of other kinds: profile
+// and advise ignore "parallel", run ignores "top".
+func TestSyncResultEqualsJobResult(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	spec := fmt.Sprintf(`"source":%q,"inputs":[[200],[300]]`, loopSrc)
+	for _, tc := range []struct{ kind, syncExtra, jobExtra string }{
+		{"profile", `,"top":2`, `,"top":2,"parallel":true`},
+		{"advise", `,"top":2`, `,"top":2,"parallel":true`},
+		{"run", `,"parallel":true`, `,"parallel":true,"top":3`},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			resp, body := post(t, ts.URL+"/v1/"+tc.kind, "{"+spec+tc.syncExtra+"}")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("sync %s = %d: %s", tc.kind, resp.StatusCode, body)
+			}
+			var want any
+			if err := json.Unmarshal([]byte(body), &want); err != nil {
+				t.Fatal(err)
+			}
+			resp, body = post(t, ts.URL+"/v1/jobs", `{"kind":"`+tc.kind+`",`+spec+tc.jobExtra+"}")
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("job create = %d: %s", resp.StatusCode, body)
+			}
+			var st JobStatus
+			if err := json.Unmarshal([]byte(body), &st); err != nil {
+				t.Fatal(err)
+			}
+			fin := waitState(t, ts.URL, st.ID)
+			if fin.State != JobSucceeded {
+				t.Fatalf("job state = %s err = %q", fin.State, fin.Error)
+			}
+			if !reflect.DeepEqual(fin.Result, want) {
+				t.Errorf("job result differs from the sync body:\njob:  %v\nsync: %v", fin.Result, want)
+			}
+		})
 	}
 }
 
