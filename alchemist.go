@@ -131,7 +131,11 @@ func (p *Program) IR() *ir.Program { return p.ir }
 type RunConfig struct {
 	// Input is served to the program via the in()/inlen() builtins.
 	Input []int64
-	// MemWords sizes the flat memory (default 1<<22 words).
+	// MemWords caps the flat memory, in 8-byte words (default
+	// vm.DefaultMemWords, 1<<22 words); an allocation beyond it traps
+	// with "out of memory". Sequential runs, profiled or not, grow their
+	// memory to what the program allocates, so a large cap costs nothing
+	// until it is used; Parallel runs allocate the whole cap up front.
 	MemWords int64
 	// StepLimit aborts runaway sequential programs (0 = off).
 	StepLimit int64
@@ -209,7 +213,8 @@ type ProfileConfig struct {
 	// ReaderSlots bounds the distinct reader PCs remembered per memory
 	// word (WAR recall vs. memory; default 4).
 	ReaderSlots int
-	// PoolPrealloc warms the construct pool (default 4096 nodes).
+	// PoolPrealloc warms the construct pool (default 65536 nodes, taken
+	// from memory only as the run first uses them).
 	PoolPrealloc int
 
 	// scratch recycles profiling buffers across runs, injected by the

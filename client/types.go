@@ -28,7 +28,7 @@ type SourceSpec struct {
 	Scales []int `json:"scales,omitempty"`
 	// Optimize compiles with the optimization passes.
 	Optimize bool `json:"optimize,omitempty"`
-	// MemWords overrides the VM memory size (inline source only). The
+	// MemWords overrides the VM memory cap (inline source only). The
 	// server refuses values below 0 or above 1<<24 words.
 	MemWords int64 `json:"mem_words,omitempty"`
 }

@@ -388,3 +388,51 @@ func TestDeprecatedFacade(t *testing.T) {
 		t.Error("default engine did not cache the facade compile")
 	}
 }
+
+// TestScratchReuseMatchesFreshEngine: a job's profile and pool counters
+// do not depend on which job used the worker's scratch buffers before.
+// Pool size changes profiles (core's TestSmallPoolDropsOnlyEnclosingEdges
+// uses this program), so a retained pool must take each job's own
+// PoolPrealloc.
+func TestScratchReuseMatchesFreshEngine(t *testing.T) {
+	ctx := context.Background()
+	const src = `
+int v;
+int s;
+void produce() { v = v + 1; }
+int main() {
+	for (int i = 0; i < 200; i++) {
+		produce();
+		s = v;
+	}
+	return 0;
+}`
+	profile := func(eng *alchemist.Engine, prealloc int) (*alchemist.Profile, []byte) {
+		t.Helper()
+		prog, err := eng.Compile(ctx, "pool.mc", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, _, err := eng.Profile(ctx, prog, alchemist.ProfileConfig{PoolPrealloc: prealloc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := alchemist.WriteJSON(&buf, prof); err != nil {
+			t.Fatal(err)
+		}
+		return prof, buf.Bytes()
+	}
+	for _, order := range [][2]int{{4, 0}, {0, 4}} {
+		warm := alchemist.NewEngine(alchemist.WithWorkers(1))
+		profile(warm, order[0])
+		got, gotJSON := profile(warm, order[1])
+		want, wantJSON := profile(alchemist.NewEngine(alchemist.WithWorkers(1)), order[1])
+		if got.Pool != want.Pool {
+			t.Errorf("PoolPrealloc %d after %d: pool %+v, fresh engine %+v", order[1], order[0], got.Pool, want.Pool)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("PoolPrealloc %d after %d: profile JSON differs from a fresh engine's", order[1], order[0])
+		}
+	}
+}

@@ -35,8 +35,8 @@ type Options struct {
 	// TrackNesting enables the direct-nesting counters needed by the
 	// Fig. 6(b) removal analysis (on by default via DefaultOptions).
 	TrackNesting bool
-	// MemWords must match the VM's flat memory size; the Profiler
-	// constructor fills it in.
+	// MemWords must match the VM's memory cap (vm.Config.MemWords); the
+	// Profiler constructor fills it in.
 	MemWords int64
 	// Scratch, when non-nil, recycles the shadow memory and construct
 	// pool retained in it across runs (Engine batch path). The Scratch
@@ -76,7 +76,7 @@ var _ vm.Tracer = (*Profiler)(nil)
 // memory.
 func NewProfiler(prog *ir.Program, memWords int64, opts Options) *Profiler {
 	if memWords == 0 {
-		memWords = 1 << 22
+		memWords = vm.DefaultMemWords
 	}
 	prealloc := opts.PoolPrealloc
 	if prealloc == 0 {
@@ -141,13 +141,14 @@ func (p *Profiler) top() *indexing.Construct {
 
 // push enters a new construct instance (Table I IDS.push).
 func (p *Profiler) push(label int, kind indexing.Kind, popPC int) {
-	c := p.pool.Acquire(p.time, label, kind, popPC, p.top())
+	parent := p.top()
+	c := p.pool.Acquire(p.time, label, kind, popPC, parent)
 	p.stack = append(p.stack, c)
 	p.dynamic++
 	cp := p.profileFor(label, kind)
 	cp.nesting++
-	if p.opts.TrackNesting && c.Parent != nil {
-		p.nest[NestKey(label, c.Parent.Label)]++
+	if p.opts.TrackNesting && parent != nil {
+		p.nest[NestKey(label, int(parent.Label))]++
 	}
 }
 
@@ -159,7 +160,7 @@ func (p *Profiler) popTop() {
 	c := p.stack[n]
 	p.stack = p.stack[:n]
 	c.Texit = p.time
-	cp := p.profiles[c.Label]
+	cp := p.profiles[int(c.Label)]
 	cp.nesting--
 	if cp.nesting == 0 {
 		dur := c.Texit - c.Tenter
@@ -192,7 +193,7 @@ func (p *Profiler) popDownThrough(idx int) {
 func (p *Profiler) Step(gpc int) {
 	p.time++
 	for n := len(p.stack); n > 0; n = len(p.stack) {
-		if p.stack[n-1].PopPC != gpc {
+		if int(p.stack[n-1].PopPC) != gpc {
 			return
 		}
 		p.popTop()
@@ -252,7 +253,7 @@ func (p *Profiler) Branch(in *ir.Instr, gpc int, taken bool) {
 		frame = p.frames[len(p.frames)-1]
 	}
 	for i := len(p.stack) - 1; i > frame; i-- {
-		if p.stack[i].Label == gpc {
+		if int(p.stack[i].Label) == gpc {
 			p.popDownThrough(i)
 			break
 		}
@@ -295,11 +296,11 @@ func (p *Profiler) Store(addr int64, gpc int) {
 // every enclosing construct that has completed (the dependence crosses
 // its boundary into its continuation) and stop at the first still-active
 // construct (for it, and all its ancestors, the dependence is internal).
-func (p *Profiler) profileDep(t DepType, headPC int32, headNode *indexing.Construct, headTime int64, tailPC int32) {
+func (p *Profiler) profileDep(t DepType, headPC int32, headNode int32, headTime int64, tailPC int32) {
 	dist := p.time - headTime
 	key := EdgeKey{HeadPC: headPC, TailPC: tailPC, Type: t}
-	for c := headNode; c != nil && c.InWindow(headTime); c = c.Parent {
-		cp := p.profiles[c.Label]
+	for c := p.pool.At(headNode); c != nil && c.InWindow(headTime); c = p.pool.At(c.Parent) {
+		cp := p.profiles[int(c.Label)]
 		if cp == nil {
 			// The node was recycled for a label we have not seen close
 			// yet; InWindow should have rejected it, but stay safe.

@@ -14,7 +14,7 @@ import (
 // ctx.Err().
 func ProfileProgramCtx(ctx context.Context, prog *ir.Program, vmCfg vm.Config, opts Options) (*Profile, *vm.Result, error) {
 	if vmCfg.MemWords == 0 {
-		vmCfg.MemWords = 1 << 22
+		vmCfg.MemWords = vm.DefaultMemWords
 	}
 	if opts.MemWords == 0 {
 		opts.MemWords = vmCfg.MemWords

@@ -19,10 +19,10 @@ type Scratch struct {
 }
 
 // acquire returns reset-or-fresh buffers for a run over memWords of flat
-// memory with the given reader-slot bound, retaining them in the Scratch
-// for the next acquire. prealloc only applies when a fresh construct
-// pool must be built; a retained pool keeps its node population (reuse
-// is accounted like a warm preallocation by Pool.Reset).
+// memory with the given reader-slot bound and construct-pool
+// preallocation, retaining them in the Scratch for the next acquire. A
+// retained pool is reset to exactly what NewPool(prealloc) builds, so a
+// run's profile does not depend on which run used the Scratch before.
 func (s *Scratch) acquire(memWords int64, readerSlots, prealloc int) (*indexing.Pool, *shadow.Memory) {
 	wantSlots := readerSlots
 	if wantSlots <= 0 {
@@ -34,7 +34,7 @@ func (s *Scratch) acquire(memWords int64, readerSlots, prealloc int) (*indexing.
 		s.shadow = shadow.New(memWords, readerSlots)
 	}
 	if s.pool != nil {
-		s.pool.Reset()
+		s.pool.Reset(prealloc)
 	} else {
 		s.pool = indexing.NewPool(prealloc)
 	}

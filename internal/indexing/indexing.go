@@ -40,26 +40,39 @@ func (k Kind) String() string {
 }
 
 // Construct is one dynamic construct instance; a node of the execution
-// index tree.
+// index tree. Nodes live in the pool's slab and name each other by pool
+// index, so they hold no pointers and the garbage collector never scans
+// them.
 type Construct struct {
-	// Label is the global PC of the construct head: the function entry PC
-	// or the predicate branch PC.
-	Label int
-	// Kind classifies the construct.
-	Kind Kind
 	// Tenter is the timestamp when the instance started.
 	Tenter int64
 	// Texit is the timestamp when the instance completed, or 0 while the
 	// instance is active (reset on every acquire, per Table I line 10).
 	Texit int64
-	// Parent is the enclosing construct instance. Parents may be recycled
-	// later; consumers must re-validate with InWindow before trusting a
-	// parent's identity.
-	Parent *Construct
+	// Label is the global PC of the construct head: the function entry PC
+	// or the predicate branch PC.
+	Label int32
 	// PopPC is the global PC of the instruction that closes this
 	// construct (the predicate's immediate post-dominator), or a negative
 	// value when it closes only at function exit.
-	PopPC int
+	PopPC int32
+	// Parent is the pool index of the enclosing construct instance (see
+	// Pool.At), 0 for none. Parents may be recycled later; consumers must
+	// re-validate with InWindow before trusting a parent's identity.
+	Parent int32
+	// index is the node's own pool index; 0 outside a pool.
+	index int32
+	// Kind classifies the construct.
+	Kind Kind
+}
+
+// Index returns the node's pool index, or 0 (no node) for nil or a node
+// made outside a pool.
+func (c *Construct) Index() int32 {
+	if c == nil {
+		return 0
+	}
+	return c.index
 }
 
 // InWindow reports whether the instance was live at time t, i.e. the
@@ -86,11 +99,30 @@ type PoolStats struct {
 	Rotations int64
 }
 
+// chunkBits sets the slab chunk: 1<<chunkBits nodes (160 KiB).
+const (
+	chunkBits = 12
+	chunkMask = 1<<chunkBits - 1
+)
+
 // Pool is the lazily-retiring construct pool of Table I. Completed nodes
 // are appended at the tail; acquisition probes from the head (the
 // longest-dead nodes) and recycles the first retirable one.
+//
+// The FIFO is the preallocated nodes not yet handed out, followed by the
+// ring of released nodes. A preallocated node has an empty window, so it
+// is always retirable: while any remain, acquisition takes the next one
+// without probing the ring. Preallocated and fresh nodes alike come from
+// the slab in index order, so the slab grows one fixed-size chunk at a
+// time, and only as far as the nodes a run has handed out.
 type Pool struct {
-	free  []*Construct // ring buffer
+	// chunks is the slab: node i is chunks[i>>chunkBits][i&chunkMask].
+	// Index 0 is never handed out; it stands for "no node".
+	chunks [][]Construct
+	used   int32 // nodes handed out since NewPool or Reset
+	spare  int   // preallocated nodes not yet handed out
+
+	ring  []int32 // released nodes, a ring buffer
 	head  int
 	count int
 
@@ -108,39 +140,51 @@ type Pool struct {
 
 // NewPool creates an empty pool. Nodes are created on demand; prealloc
 // (if > 0) warms the pool with that many immediately-reusable nodes,
-// mirroring the paper's pre-allocated one-million-entry pool.
+// mirroring the paper's pre-allocated one-million-entry pool. Their
+// memory is taken from the slab only as they are handed out.
 func NewPool(prealloc int) *Pool {
 	p := &Pool{MaxProbe: 32}
-	if prealloc > 0 {
-		p.free = make([]*Construct, 0, prealloc)
-		for i := 0; i < prealloc; i++ {
-			p.free = append(p.free, &Construct{})
-			p.stats.Allocated++
-		}
-		p.count = prealloc
-	}
+	p.Reset(prealloc)
 	return p
 }
 
 // Stats returns a snapshot of the pool counters.
 func (p *Pool) Stats() PoolStats { return p.stats }
 
-// Reset prepares the pool for a fresh run whose clock restarts at zero:
-// every pooled node's window is cleared (making it immediately
-// retirable, like a preallocated node) and the counters restart with
-// Allocated equal to the retained node count — reuse across runs is
-// accounted exactly like a warm preallocation, so per-run Reused/
-// Rotations stats keep their Theorem 1 meaning.
-func (p *Pool) Reset() {
-	for i := 0; i < p.count; i++ {
-		c := p.free[(p.head+i)%len(p.free)]
-		c.Label, c.Kind, c.Tenter, c.Texit, c.Parent, c.PopPC = 0, 0, 0, 0, nil, 0
-	}
-	p.stats = PoolStats{Allocated: int64(p.count)}
+// Reset prepares the pool for a fresh run whose clock restarts at zero,
+// leaving it exactly as NewPool(prealloc) would while keeping the slab
+// and ring memory. Every node handed out before is forgotten, so the
+// caller must drop its references to them (the profiler resets its
+// shadow memory with the pool).
+func (p *Pool) Reset(prealloc int) {
+	p.used = 0
+	p.spare = max(prealloc, 0)
+	p.head, p.count = 0, 0
+	p.stats = PoolStats{Allocated: int64(p.spare)}
 }
 
 // Live returns the number of nodes currently sitting in the pool.
-func (p *Pool) Live() int { return p.count }
+func (p *Pool) Live() int { return p.spare + p.count }
+
+// At returns the node with pool index i, or nil for index 0.
+func (p *Pool) At(i int32) *Construct {
+	if i == 0 {
+		return nil
+	}
+	return &p.chunks[i>>chunkBits][i&chunkMask]
+}
+
+// next hands out the slab's next unused node.
+func (p *Pool) next() *Construct {
+	p.used++
+	i := p.used
+	if int(i>>chunkBits) == len(p.chunks) {
+		p.chunks = append(p.chunks, make([]Construct, 1<<chunkBits))
+	}
+	c := &p.chunks[i>>chunkBits][i&chunkMask]
+	c.index = i
+	return c
+}
 
 // retirable implements Table I line 4: a node may be recycled at time now
 // only if it has been dead at least as long as it was alive.
@@ -148,31 +192,30 @@ func retirable(c *Construct, now int64) bool {
 	return now-c.Texit >= c.Texit-c.Tenter
 }
 
-func (p *Pool) popHead() *Construct {
-	c := p.free[p.head]
-	p.free[p.head] = nil
-	p.head = (p.head + 1) % len(p.free)
+func (p *Pool) popHead() int32 {
+	i := p.ring[p.head]
+	p.head = (p.head + 1) % len(p.ring)
 	p.count--
-	return c
+	return i
 }
 
-func (p *Pool) push(c *Construct) {
-	if p.count == len(p.free) {
+func (p *Pool) push(i int32) {
+	if p.count == len(p.ring) {
 		// Grow the ring.
-		grown := make([]*Construct, 0, max(4, 2*len(p.free)))
-		for i := 0; i < p.count; i++ {
-			grown = append(grown, p.free[(p.head+i)%len(p.free)])
+		grown := make([]int32, max(4, 2*len(p.ring)))
+		for j := 0; j < p.count; j++ {
+			grown[j] = p.ring[(p.head+j)%len(p.ring)]
 		}
-		grown = grown[:cap(grown)]
-		p.free = grown
+		p.ring = grown
 		p.head = 0
 	}
-	p.free[(p.head+p.count)%len(p.free)] = c
+	p.ring[(p.head+p.count)%len(p.ring)] = i
 	p.count++
 }
 
 // Acquire returns an initialized construct node for a construct headed at
-// label, entering at time now with the given parent.
+// label, entering at time now (timestamps are never negative) with the
+// given parent (nil for none).
 func (p *Pool) Acquire(now int64, label int, kind Kind, popPC int, parent *Construct) *Construct {
 	var c *Construct
 	probes := p.MaxProbe
@@ -182,38 +225,37 @@ func (p *Pool) Acquire(now int64, label int, kind Kind, popPC int, parent *Const
 	if p.DisableReuse {
 		probes = 0
 	}
-	for i := 0; i < probes && p.count > 0; i++ {
-		cand := p.popHead()
+	if probes > 0 && p.spare > 0 {
+		// The FIFO head is a preallocated node: retirable at once.
+		p.spare--
+		p.stats.Reused++
+		c = p.next()
+	}
+	for i := 0; c == nil && i < probes && p.count > 0; i++ {
+		cand := p.At(p.popHead())
 		if retirable(cand, now) {
 			c = cand
 			p.stats.Reused++
 			break
 		}
 		// Still hot: rotate to the tail and try the next-oldest.
-		p.push(cand)
+		p.push(cand.index)
 		p.stats.Rotations++
 	}
 	if c == nil {
-		c = &Construct{}
+		c = p.next()
 		p.stats.Allocated++
 	}
-	c.Label = label
+	c.Label = int32(label)
 	c.Kind = kind
 	c.Tenter = now
 	c.Texit = 0
-	c.Parent = parent
-	c.PopPC = popPC
+	c.Parent = parent.Index()
+	c.PopPC = int32(popPC)
 	return c
 }
 
 // Release returns a completed node to the pool tail (lazy retiring: reuse
 // is attempted from the head, so a node stays referenceable as long as
 // possible).
-func (p *Pool) Release(c *Construct) { p.push(c) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+func (p *Pool) Release(c *Construct) { p.push(c.index) }

@@ -10,7 +10,7 @@ func TestAcquireInitializes(t *testing.T) {
 	parent := p.Acquire(10, 100, KindFunc, NoPop, nil)
 	c := p.Acquire(12, 200, KindLoop, 55, parent)
 	if c.Label != 200 || c.Kind != KindLoop || c.Tenter != 12 || c.Texit != 0 ||
-		c.Parent != parent || c.PopPC != 55 {
+		p.At(c.Parent) != parent || c.PopPC != 55 {
 		t.Errorf("acquired node wrong: %+v", c)
 	}
 }

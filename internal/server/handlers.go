@@ -42,7 +42,7 @@ type SourceSpec struct {
 	Scales []int `json:"scales,omitempty"`
 	// Optimize compiles with the optimization passes.
 	Optimize bool `json:"optimize,omitempty"`
-	// MemWords overrides the VM memory size (inline source only;
+	// MemWords overrides the VM memory cap (inline source only;
 	// workloads bring their own). Values outside [0, maxMemWords] are
 	// refused.
 	MemWords int64 `json:"mem_words,omitempty"`

@@ -13,10 +13,13 @@ package shadow
 import "alchemist/internal/indexing"
 
 // Access describes one memory access: which instruction performed it,
-// when, and inside which construct instance.
+// when, and inside which construct instance. It holds no pointers, so
+// the garbage collector does not scan shadow pages.
 type Access struct {
 	Time int64
-	Node *indexing.Construct
+	// Node is the construct instance's index in its indexing.Pool (see
+	// Pool.At), 0 for none.
+	Node int32
 	PC   int32
 }
 
@@ -166,7 +169,7 @@ func (m *Memory) Load(addr int64, pc int32, time int64, node *indexing.Construct
 			m.evictedReaders++
 		}
 	}
-	p.readers[slot] = Access{Time: time, Node: node, PC: pc}
+	p.readers[slot] = Access{Time: time, Node: node.Index(), PC: pc}
 
 	if p.hasWrite[off] {
 		return p.writes[off], true
@@ -193,7 +196,7 @@ func (m *Memory) Store(addr int64, pc int32, time int64, node *indexing.Construc
 		m.scratch = append(m.scratch, p.readers[base+i])
 	}
 	p.nReaders[off] = 0
-	p.writes[off] = Access{Time: time, Node: node, PC: pc}
+	p.writes[off] = Access{Time: time, Node: node.Index(), PC: pc}
 	p.hasWrite[off] = true
 	return prev, hadPrev, m.scratch
 }

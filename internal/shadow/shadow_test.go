@@ -1,8 +1,10 @@
 package shadow
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"alchemist/internal/indexing"
 )
@@ -228,5 +230,21 @@ func TestAgainstOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRecordsArePointerFree: shadow pages and the construct pool's slab
+// hold no pointers, so the garbage collector never scans them, and an
+// access record takes 16 bytes.
+func TestRecordsArePointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(Access{}); n != 16 {
+		t.Errorf("Access is %d bytes, want 16", n)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(Access{}), reflect.TypeOf(indexing.Construct{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.Type.Kind() < reflect.Bool || f.Type.Kind() > reflect.Uint64 {
+				t.Errorf("%s.%s is a %s, want an integer", typ.Name(), f.Name, f.Type)
+			}
+		}
 	}
 }

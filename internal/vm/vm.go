@@ -41,6 +41,10 @@ import (
 // cancelled context is observed within one interval per goroutine.
 const CancelCheckInterval = 4096
 
+// DefaultMemWords is the memory cap, in 8-byte words, used when
+// Config.MemWords is zero: 32 MiB.
+const DefaultMemWords = 1 << 22
+
 // Tracer receives execution events from the VM. Implementations must be
 // fast; Step fires for every instruction. Tracers are only supported in
 // sequential mode.
@@ -61,7 +65,11 @@ type Tracer interface {
 
 // Config parameterizes a VM instance.
 type Config struct {
-	// MemWords is the flat memory size in 8-byte words (default 1<<22).
+	// MemWords caps the flat memory, in 8-byte words (default
+	// DefaultMemWords); an allocation beyond it traps with "out of
+	// memory". Sequential and SimWorkers runs grow the memory as the
+	// program allocates, so a run pays only for the words it can
+	// address; Parallel runs allocate the whole cap up front.
 	MemWords int64
 	// StepLimit aborts runaway programs (sequential mode only; 0 = off).
 	StepLimit int64
@@ -131,6 +139,10 @@ type VM struct {
 	prog *ir.Program
 	cfg  Config
 
+	// mem is the flat memory. Every address a program can form lies
+	// below allocNext, so sequential and simulated runs keep mem just
+	// long enough for that (alloc grows it); Parallel runs, whose
+	// goroutines share mem without locks, allocate MemWords up front.
 	mem       []int64
 	allocNext int64
 
@@ -156,7 +168,7 @@ type VM struct {
 // New prepares a VM. The VM is single-use: call Run exactly once.
 func New(p *ir.Program, cfg Config) (*VM, error) {
 	if cfg.MemWords == 0 {
-		cfg.MemWords = 1 << 22
+		cfg.MemWords = DefaultMemWords
 	}
 	if cfg.MemWords < p.GlobalWords {
 		return nil, fmt.Errorf("vm: MemWords %d smaller than global segment %d", cfg.MemWords, p.GlobalWords)
@@ -177,10 +189,14 @@ func New(p *ir.Program, cfg Config) (*VM, error) {
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
 	}
+	memLen := p.GlobalWords
+	if cfg.Parallel {
+		memLen = cfg.MemWords
+	}
 	vm := &VM{
 		prog:      p,
 		cfg:       cfg,
-		mem:       make([]int64, cfg.MemWords),
+		mem:       make([]int64, memLen),
 		allocNext: p.GlobalWords,
 		input:     cfg.Input,
 		out:       cfg.Out,
@@ -197,6 +213,8 @@ func New(p *ir.Program, cfg Config) (*VM, error) {
 }
 
 // Mem exposes the flat memory for harness-level inspection after a run.
+// It covers every word the run allocated (globals included) and, after a
+// Parallel run, the whole MemWords cap; it may be shorter than MemWords.
 func (vm *VM) Mem() []int64 { return vm.mem }
 
 // GlobalValue returns the value of the named global scalar, for tests and
@@ -246,7 +264,7 @@ func (vm *VM) RunCtx(ctx context.Context) (*Result, error) {
 		}
 	}
 	ex := vm.newExecCtx(ctx)
-	ret, err := vm.runFrame(vm.prog.Main, nil, ex)
+	ret, err := vm.runFrame(vm.prog.Main, ex.regs.push(vm.prog.Main.NumRegs), ex)
 	totalSteps := ex.steps + atomic.LoadInt64(&vm.parSteps)
 	if err == nil {
 		err = vm.firstSpawnError()
@@ -313,11 +331,15 @@ type execCtx struct {
 	progress   func(steps int64)
 	checks     int64
 	progressed int64
+
+	// regs is the register stack the goroutine's frames take their
+	// registers from.
+	regs *regStack
 }
 
 // newExecCtx builds the root interpreter state for a run under ctx.
 func (vm *VM) newExecCtx(ctx context.Context) *execCtx {
-	ex := &execCtx{vm: vm, limit: vm.cfg.StepLimit, progress: vm.cfg.OnProgress}
+	ex := &execCtx{vm: vm, limit: vm.cfg.StepLimit, progress: vm.cfg.OnProgress, regs: &regStack{}}
 	if ctx != nil && ctx.Done() != nil {
 		ex.ctx = ctx
 	}
@@ -326,12 +348,38 @@ func (vm *VM) newExecCtx(ctx context.Context) *execCtx {
 }
 
 // child derives the interpreter state for a spawned goroutine or a
-// simulated child: fresh counters, same cancellation scope.
-func (ex *execCtx) child() *execCtx {
-	c := &execCtx{vm: ex.vm, ctx: ex.ctx, limit: ex.limit}
+// simulated child: fresh counters, same cancellation scope, registers
+// from regs. A simulated child runs inline and shares its parent's
+// register stack; a goroutine needs its own.
+func (ex *execCtx) child(regs *regStack) *execCtx {
+	c := &execCtx{vm: ex.vm, ctx: ex.ctx, limit: ex.limit, regs: regs}
 	c.armCheck()
 	return c
 }
+
+// regStack hands out frame registers in call order, so a call costs no
+// allocation once the stack has reached the run's deepest frame. Growing
+// leaves the frames already handed out on the old array, where they stay
+// valid until they return.
+type regStack struct {
+	buf []int64
+	sp  int
+}
+
+// push returns n zeroed registers for a new frame.
+func (s *regStack) push(n int) []int64 {
+	end := s.sp + n
+	if end > len(s.buf) {
+		s.buf = make([]int64, max(2*len(s.buf), end, 64))
+	}
+	r := s.buf[s.sp:end:end]
+	clear(r)
+	s.sp = end
+	return r
+}
+
+// pop releases the n registers of the most recently pushed frame.
+func (s *regStack) pop(n int) { s.sp -= n }
 
 // armCheck schedules the next slow-path check. A limit of MaxInt64 can
 // never trap (steps > limit is unsatisfiable), so it parks like
@@ -424,6 +472,13 @@ func (vm *VM) alloc(n int64, in *ir.Instr) (ir.ArrayRef, error) {
 	if base+n > vm.cfg.MemWords {
 		return 0, vm.trap(in, "out of memory: need %d words beyond %d", n, base)
 	}
+	if end := base + n; end > int64(len(vm.mem)) {
+		// Parallel runs never get here: their memory starts at the cap.
+		// Doubling keeps the copying linear in the final size.
+		grown := make([]int64, min(max(2*int64(len(vm.mem)), end), vm.cfg.MemWords))
+		copy(grown, vm.mem)
+		vm.mem = grown
+	}
 	return ir.MakeArrayRef(base, n), nil
 }
 
@@ -466,11 +521,22 @@ func (vm *VM) element(refVal, idx int64, in *ir.Instr) (int64, error) {
 	return ref.Base() + idx, nil
 }
 
-// runFrame interprets one activation of f.
-func (vm *VM) runFrame(f *ir.Func, args []int64, ex *execCtx) (int64, error) {
-	regs := make([]int64, f.NumRegs)
-	copy(regs, args)
+// call runs one activation of in.Callee on ex, passing the values of
+// in.Args from the caller's registers.
+func (vm *VM) call(in *ir.Instr, regs []int64, ex *execCtx) (int64, error) {
+	n := in.Callee.NumRegs
+	callee := ex.regs.push(n)
+	for i, r := range in.Args {
+		callee[i] = regs[r]
+	}
+	v, err := vm.runFrame(in.Callee, callee, ex)
+	ex.regs.pop(n)
+	return v, err
+}
 
+// runFrame interprets one activation of f over regs, its frame registers
+// with the arguments already in place.
+func (vm *VM) runFrame(f *ir.Func, regs []int64, ex *execCtx) (int64, error) {
 	var wg *sync.WaitGroup
 	var pending []simSpawn
 	joinSpawns := func() {
@@ -597,11 +663,7 @@ func (vm *VM) runFrame(f *ir.Func, args []int64, ex *execCtx) (int64, error) {
 			regs[in.A] = ir.ArrayRef(regs[in.B]).Len()
 
 		case ir.OpCall:
-			args := make([]int64, len(in.Args))
-			for i, r := range in.Args {
-				args[i] = regs[r]
-			}
-			v, err := vm.runFrame(in.Callee, args, ex)
+			v, err := vm.call(in, regs, ex)
 			if err != nil {
 				joinSpawns()
 				return 0, err
@@ -619,32 +681,34 @@ func (vm *VM) runFrame(f *ir.Func, args []int64, ex *execCtx) (int64, error) {
 				regs[in.A] = v
 			}
 		case ir.OpSpawn:
-			args := make([]int64, len(in.Args))
-			for i, r := range in.Args {
-				args[i] = regs[r]
-			}
 			switch {
 			case vm.cfg.Parallel:
 				if wg == nil {
 					wg = &sync.WaitGroup{}
 				}
+				// The arguments are copied here, before the parent
+				// goes on to change its registers.
+				child := ex.child(&regStack{})
+				args := child.regs.push(in.Callee.NumRegs)
+				for i, r := range in.Args {
+					args[i] = regs[r]
+				}
 				wg.Add(1)
-				go func(callee *ir.Func, args []int64) {
+				go func(wg *sync.WaitGroup, callee *ir.Func, args []int64, child *execCtx) {
 					defer wg.Done()
-					child := ex.child()
 					_, err := vm.runFrame(callee, args, child)
 					atomic.AddInt64(&vm.parSteps, child.steps)
 					atomic.AddInt64(&vm.parChecks, child.checks)
 					if err != nil {
 						vm.recordSpawnError(err)
 					}
-				}(in.Callee, args)
+				}(wg, in.Callee, args, child)
 			case vm.cfg.SimWorkers > 0:
 				// Virtual-time simulation: run the child inline on its
 				// own virtual clock and charge its critical path to a
 				// virtual worker at the next join.
-				child := ex.child()
-				if _, err := vm.runFrame(in.Callee, args, child); err != nil {
+				child := ex.child(ex.regs)
+				if _, err := vm.call(in, regs, child); err != nil {
 					joinSpawns()
 					return 0, err
 				}
@@ -655,7 +719,7 @@ func (vm *VM) runFrame(f *ir.Func, args []int64, ex *execCtx) (int64, error) {
 				// Sequential semantics: a spawn is a plain call. This is
 				// what the profiler observes, matching the paper's model
 				// of profiling the sequential program.
-				if _, err := vm.runFrame(in.Callee, args, ex); err != nil {
+				if _, err := vm.call(in, regs, ex); err != nil {
 					joinSpawns()
 					return 0, err
 				}

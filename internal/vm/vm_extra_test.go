@@ -51,6 +51,38 @@ int main() {
 	if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "out of memory") {
 		t.Fatalf("err = %v", err)
 	}
+
+	// The trap fires exactly at MemWords, however the memory is kept: an
+	// allocation filling the cap succeeds and one word more traps.
+	prog, err = compile.Build("t.mc", `
+int g[10];
+int main() {
+	int a[] = alloc(in(0));
+	a[in(0) - 1] = 7;
+	return a[in(0) - 1];
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capWords = 5000
+	fits := capWords - prog.GlobalWords
+	for _, cfg := range []vm.Config{{}, {SimWorkers: 2}, {Parallel: true}} {
+		cfg.MemWords = capWords
+		for _, n := range []int64{fits, fits + 1} {
+			cfg.Input = []int64{n}
+			m, err := vm.New(prog, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.Run()
+			if n == fits && (err != nil || res.Ret != 7) {
+				t.Errorf("%+v: alloc(%d) filling the cap: res %+v, err %v", cfg, n, res, err)
+			}
+			if n > fits && (err == nil || !strings.Contains(err.Error(), "out of memory")) {
+				t.Errorf("%+v: alloc(%d) past the cap: err = %v", cfg, n, err)
+			}
+		}
+	}
 }
 
 func TestSpawnedErrorPropagates(t *testing.T) {
