@@ -94,6 +94,11 @@ func cmdServe(args []string) error {
 		fmt.Printf("serve: journal recovered %d jobs (%d interrupted, %d requeued, %d torn bytes dropped)\n",
 			rec.Jobs, rec.Interrupted, rec.Requeued, rec.TruncatedBytes)
 	}
+	// Install the signal handler before announcing the address: a script
+	// may send SIGTERM as soon as it reads the listen line, and that
+	// signal must drain the server, not kill the process.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
 	if err := srv.Start(*addr); err != nil {
 		return err
 	}
@@ -101,8 +106,6 @@ func cmdServe(args []string) error {
 	// address (the port is dynamic with -addr :0).
 	fmt.Printf("serve: listening on %s\n", srv.URL())
 
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
 	<-ctx.Done()
 	stopSignals() // a second signal kills the process instead of waiting
 

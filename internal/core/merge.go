@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Merge combines profiles collected from several runs of the same
@@ -106,24 +106,11 @@ func Merge(profiles ...*Profile) (*Profile, error) {
 				TailPos: base.Program.PosOf(int(k.TailPC)),
 			})
 		}
-		sort.Slice(mc.Edges, func(i, j int) bool {
-			if mc.Edges[i].MinDist != mc.Edges[j].MinDist {
-				return mc.Edges[i].MinDist < mc.Edges[j].MinDist
-			}
-			if mc.Edges[i].HeadPC != mc.Edges[j].HeadPC {
-				return mc.Edges[i].HeadPC < mc.Edges[j].HeadPC
-			}
-			return mc.Edges[i].TailPC < mc.Edges[j].TailPC
-		})
+		slices.SortFunc(mc.Edges, compareEdges)
 		merged.Constructs = append(merged.Constructs, mc)
 		merged.byLabel[label] = mc
 	}
 	merged.StaticConstructs = int64(len(merged.Constructs))
-	sort.Slice(merged.Constructs, func(i, j int) bool {
-		if merged.Constructs[i].Ttotal != merged.Constructs[j].Ttotal {
-			return merged.Constructs[i].Ttotal > merged.Constructs[j].Ttotal
-		}
-		return merged.Constructs[i].Label < merged.Constructs[j].Label
-	})
+	slices.SortFunc(merged.Constructs, compareConstructs)
 	return merged, nil
 }

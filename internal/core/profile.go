@@ -6,8 +6,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"alchemist/internal/indexing"
 	"alchemist/internal/ir"
@@ -48,25 +49,45 @@ type EdgeKey struct {
 	Type   DepType
 }
 
-// EdgeStat aggregates the dynamic instances of a static edge. The paper
-// keeps only the minimum distance, because the minimum bounds the
-// exploitable concurrency; we additionally count occurrences.
-type EdgeStat struct {
-	MinDist int64
-	Count   int64
-}
-
 // constructProfile is the online per-label profile (PROFILE[pc] in the
 // paper).
 type constructProfile struct {
-	label   int
-	kind    indexing.Kind
 	ttotal  int64
 	minDur  int64
 	maxDur  int64
 	inst    int64
 	nesting int64 // recursion depth counter (§III.B recursion fix)
-	edges   map[EdgeKey]*EdgeStat
+	label   int32
+	nests   int32 // first of this construct's nestCells, one per parent
+	nCells  int32 // number of edgeCells crediting this construct
+	kind    indexing.Kind
+}
+
+// edgeKey is one interned static dependence edge.
+type edgeKey struct {
+	head, tail int32
+	next       int32 // next interned edge with the same tail PC
+	cells      int32 // first of this edge's cells, one per credited construct
+	typ        DepType
+}
+
+// edgeCell aggregates the dynamic instances of one static edge crossing
+// the boundary of one construct. The paper keeps only the minimum
+// distance, because the minimum bounds the exploitable concurrency; we
+// additionally count occurrences.
+type edgeCell struct {
+	minDist int64
+	count   int64
+	slot    int32 // the construct's profiles index
+	next    int32 // the edge's next cell
+}
+
+// nestCell counts the instances of one construct pushed directly under an
+// instance of another.
+type nestCell struct {
+	count  int64
+	parent int32 // the parent construct's profiles index
+	next   int32 // the child construct's next nestCell
 }
 
 // Edge is a finalized static dependence edge of one construct.
@@ -228,22 +249,59 @@ func (p *Profile) String() string {
 		p.TotalSteps, p.StaticConstructs, p.DynamicConstructs)
 }
 
-// finalize converts the online profiles into the exported Profile.
-func finalize(prog *ir.Program, totalSteps int64, profiles map[int]*constructProfile,
-	nest map[uint64]int64, pool indexing.PoolStats, sh shadow.Stats, dynamic int64) *Profile {
-
-	p := &Profile{
+// finalize converts the online tables into the exported Profile. All
+// ConstructStats share one backing array, and so do all Edges. The total
+// orders of compareEdges and compareConstructs keep the order of the
+// tables out of the result.
+func (p *Profiler) finalize() *Profile {
+	prog := p.prog
+	n := len(p.profiles) - 1
+	out := &Profile{
 		Program:           prog,
-		TotalSteps:        totalSteps,
-		StaticConstructs:  int64(len(profiles)),
-		DynamicConstructs: dynamic,
-		NestDirect:        nest,
-		Pool:              pool,
-		Shadow:            sh,
-		byLabel:           make(map[int]*ConstructStat, len(profiles)),
+		TotalSteps:        p.time,
+		StaticConstructs:  int64(n),
+		DynamicConstructs: p.dynamic,
+		NestDirect:        make(map[uint64]int64, len(p.nests)-1),
+		Pool:              p.pool.Stats(),
+		Shadow:            p.shadow.Stats(),
+		Constructs:        make([]*ConstructStat, n),
+		byLabel:           make(map[int]*ConstructStat, n),
 	}
-	for label, cp := range profiles {
-		cs := &ConstructStat{
+
+	// Lay the edges out construct by construct. end[s] starts at the
+	// first index of slot s's run and, once every cell is placed, ends
+	// one past its last.
+	edges := make([]Edge, len(p.cells)-1)
+	end := make([]int32, len(p.profiles))
+	var off int32
+	for s := 1; s < len(p.profiles); s++ {
+		end[s] = off
+		off += p.profiles[s].nCells
+	}
+	for e := 1; e < len(p.edges); e++ {
+		k := &p.edges[e]
+		headPos, tailPos := prog.PosOf(int(k.head)), prog.PosOf(int(k.tail))
+		for i := k.cells; i != 0; i = p.cells[i].next {
+			c := &p.cells[i]
+			edges[end[c.slot]] = Edge{
+				HeadPC:  int(k.head),
+				TailPC:  int(k.tail),
+				Type:    k.typ,
+				MinDist: c.minDist,
+				Count:   c.count,
+				HeadPos: headPos,
+				TailPos: tailPos,
+			}
+			end[c.slot]++
+		}
+	}
+
+	stats := make([]ConstructStat, n)
+	for s := 1; s < len(p.profiles); s++ {
+		cp := &p.profiles[s]
+		label := int(cp.label)
+		cs := &stats[s-1]
+		*cs = ConstructStat{
 			Label:     label,
 			Kind:      cp.kind,
 			Ttotal:    cp.ttotal,
@@ -262,34 +320,41 @@ func finalize(prog *ir.Program, totalSteps int64, profiles map[int]*constructPro
 				cs.FuncName = f.Name
 			}
 		}
-		for k, st := range cp.edges {
-			cs.Edges = append(cs.Edges, Edge{
-				HeadPC:  int(k.HeadPC),
-				TailPC:  int(k.TailPC),
-				Type:    k.Type,
-				MinDist: st.MinDist,
-				Count:   st.Count,
-				HeadPos: prog.PosOf(int(k.HeadPC)),
-				TailPos: prog.PosOf(int(k.TailPC)),
-			})
+		if cp.nCells > 0 {
+			cs.Edges = edges[end[s]-cp.nCells : end[s] : end[s]]
+			slices.SortFunc(cs.Edges, compareEdges)
 		}
-		sort.Slice(cs.Edges, func(i, j int) bool {
-			if cs.Edges[i].MinDist != cs.Edges[j].MinDist {
-				return cs.Edges[i].MinDist < cs.Edges[j].MinDist
-			}
-			if cs.Edges[i].HeadPC != cs.Edges[j].HeadPC {
-				return cs.Edges[i].HeadPC < cs.Edges[j].HeadPC
-			}
-			return cs.Edges[i].TailPC < cs.Edges[j].TailPC
-		})
-		p.Constructs = append(p.Constructs, cs)
-		p.byLabel[label] = cs
+		for i := cp.nests; i != 0; i = p.nests[i].next {
+			nc := &p.nests[i]
+			out.NestDirect[NestKey(label, int(p.profiles[nc.parent].label))] = nc.count
+		}
+		out.Constructs[s-1] = cs
+		out.byLabel[label] = cs
 	}
-	sort.Slice(p.Constructs, func(i, j int) bool {
-		if p.Constructs[i].Ttotal != p.Constructs[j].Ttotal {
-			return p.Constructs[i].Ttotal > p.Constructs[j].Ttotal
-		}
-		return p.Constructs[i].Label < p.Constructs[j].Label
-	})
-	return p
+	slices.SortFunc(out.Constructs, compareConstructs)
+	return out
+}
+
+// compareEdges orders a construct's edges by ascending minimal distance,
+// then by head PC, tail PC and type.
+func compareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.MinDist, b.MinDist); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.HeadPC, b.HeadPC); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.TailPC, b.TailPC); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Type, b.Type)
+}
+
+// compareConstructs orders constructs by descending Ttotal, then by
+// label.
+func compareConstructs(a, b *ConstructStat) int {
+	if c := cmp.Compare(b.Ttotal, a.Ttotal); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Label, b.Label)
 }

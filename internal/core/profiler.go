@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"alchemist/internal/indexing"
 	"alchemist/internal/ir"
 	"alchemist/internal/shadow"
@@ -51,6 +53,10 @@ func DefaultOptions() Options {
 
 // Profiler implements vm.Tracer. Create one with NewProfiler, pass it as
 // Config.Tracer to a sequential VM, run the program, then call Finish.
+//
+// Every PC an event carries must lie in [0, prog.NumPCs), as the VM's
+// always do: the profiler indexes its tables by PC and does not check.
+// (trace.Replay validates recorded events before passing them on.)
 type Profiler struct {
 	prog *ir.Program
 	opts Options
@@ -65,9 +71,22 @@ type Profiler struct {
 	pool   *indexing.Pool
 	shadow *shadow.Memory
 
-	profiles map[int]*constructProfile
-	nest     map[uint64]int64
-	dynamic  int64
+	// Per-run tables, indexed by PC or by arena index. Entry 0 of every
+	// arena (profiles, edges, cells, nests) is unused, so a zero slot or
+	// link means "none".
+	//
+	// slots[label+numPCs] is the profiles index of a construct label:
+	// predicate labels are PCs in [0, numPCs) and procedure labels
+	// FuncLabel(base) in [-numPCs, 0).
+	numPCs   int
+	slots    []int32
+	profiles []constructProfile
+	// edgeByTail[pc] heads the chain of interned edges whose tail is pc.
+	edgeByTail []int32
+	edges      []edgeKey
+	cells      []edgeCell
+	nests      []nestCell
+	dynamic    int64
 }
 
 var _ vm.Tracer = (*Profiler)(nil)
@@ -95,13 +114,19 @@ func NewProfiler(prog *ir.Program, memWords int64, opts Options) *Profiler {
 		pool.MaxProbe = opts.PoolProbe
 	}
 	pool.DisableReuse = opts.DisablePoolReuse
+	n := prog.NumPCs
 	return &Profiler{
-		prog:     prog,
-		opts:     opts,
-		pool:     pool,
-		shadow:   mem,
-		profiles: make(map[int]*constructProfile),
-		nest:     make(map[uint64]int64),
+		prog:       prog,
+		opts:       opts,
+		pool:       pool,
+		shadow:     mem,
+		numPCs:     n,
+		slots:      make([]int32, 2*n),
+		profiles:   make([]constructProfile, 1),
+		edgeByTail: make([]int32, n),
+		edges:      make([]edgeKey, 1),
+		cells:      make([]edgeCell, 1),
+		nests:      make([]nestCell, 1),
 	}
 }
 
@@ -118,17 +143,11 @@ func (p *Profiler) Finish() *Profile {
 	for len(p.stack) > 0 {
 		p.popTop()
 	}
-	return finalize(p.prog, p.time, p.profiles, p.nest, p.pool.Stats(), p.shadow.Stats(), p.dynamic)
+	return p.finalize()
 }
 
-func (p *Profiler) profileFor(label int, kind indexing.Kind) *constructProfile {
-	cp := p.profiles[label]
-	if cp == nil {
-		cp = &constructProfile{label: label, kind: kind, edges: make(map[EdgeKey]*EdgeStat)}
-		p.profiles[label] = cp
-	}
-	return cp
-}
+// slot returns the profiles index of a label already pushed.
+func (p *Profiler) slot(label int32) int32 { return p.slots[int(label)+p.numPCs] }
 
 // top returns the innermost active construct (nil only before main's
 // EnterFunc).
@@ -145,11 +164,30 @@ func (p *Profiler) push(label int, kind indexing.Kind, popPC int) {
 	c := p.pool.Acquire(p.time, label, kind, popPC, parent)
 	p.stack = append(p.stack, c)
 	p.dynamic++
-	cp := p.profileFor(label, kind)
-	cp.nesting++
-	if p.opts.TrackNesting && parent != nil {
-		p.nest[NestKey(label, int(parent.Label))]++
+	s := p.slots[label+p.numPCs]
+	if s == 0 {
+		s = int32(len(p.profiles))
+		p.profiles = append(p.profiles, constructProfile{label: int32(label), kind: kind})
+		p.slots[label+p.numPCs] = s
 	}
+	p.profiles[s].nesting++
+	if p.opts.TrackNesting && parent != nil {
+		p.countNest(s, p.slot(parent.Label))
+	}
+}
+
+// countNest counts one instance of construct slot child pushed directly
+// under an instance of construct slot parent.
+func (p *Profiler) countNest(child, parent int32) {
+	cp := &p.profiles[child]
+	for i := cp.nests; i != 0; i = p.nests[i].next {
+		if p.nests[i].parent == parent {
+			p.nests[i].count++
+			return
+		}
+	}
+	p.nests = append(p.nests, nestCell{count: 1, parent: parent, next: cp.nests})
+	cp.nests = int32(len(p.nests) - 1)
 }
 
 // popTop closes the innermost construct (Table I IDS.pop): record Texit,
@@ -160,7 +198,7 @@ func (p *Profiler) popTop() {
 	c := p.stack[n]
 	p.stack = p.stack[:n]
 	c.Texit = p.time
-	cp := p.profiles[int(c.Label)]
+	cp := &p.profiles[p.slot(c.Label)]
 	cp.nesting--
 	if cp.nesting == 0 {
 		dur := c.Texit - c.Tenter
@@ -296,24 +334,62 @@ func (p *Profiler) Store(addr int64, gpc int) {
 // every enclosing construct that has completed (the dependence crosses
 // its boundary into its continuation) and stop at the first still-active
 // construct (for it, and all its ancestors, the dependence is internal).
+//
+// The edge is interned once per dependence. Its cells are chained in the
+// order the constructs were first credited, so the k-th construct of a
+// walk normally finds its cell at the k-th link without searching.
 func (p *Profiler) profileDep(t DepType, headPC int32, headNode int32, headTime int64, tailPC int32) {
+	c := p.pool.At(headNode)
+	if c == nil || !c.InWindow(headTime) {
+		return
+	}
 	dist := p.time - headTime
-	key := EdgeKey{HeadPC: headPC, TailPC: tailPC, Type: t}
-	for c := p.pool.At(headNode); c != nil && c.InWindow(headTime); c = p.pool.At(c.Parent) {
-		cp := p.profiles[int(c.Label)]
-		if cp == nil {
-			// The node was recycled for a label we have not seen close
-			// yet; InWindow should have rejected it, but stay safe.
-			return
+	e := p.edgeID(headPC, tailPC, t)
+	next := p.edges[e].cells
+	for ; c != nil && c.InWindow(headTime); c = p.pool.At(c.Parent) {
+		s := p.slot(c.Label)
+		i := next
+		if i == 0 || p.cells[i].slot != s {
+			i = p.cellFor(e, s)
 		}
-		st := cp.edges[key]
-		if st == nil {
-			cp.edges[key] = &EdgeStat{MinDist: dist, Count: 1}
-		} else {
-			st.Count++
-			if dist < st.MinDist {
-				st.MinDist = dist
-			}
+		cell := &p.cells[i]
+		cell.count++
+		cell.minDist = min(cell.minDist, dist)
+		next = cell.next
+	}
+}
+
+// edgeID interns the static edge (head, tail, t) and returns its index
+// in edges.
+func (p *Profiler) edgeID(head, tail int32, t DepType) int32 {
+	for e := p.edgeByTail[tail]; e != 0; e = p.edges[e].next {
+		if p.edges[e].head == head && p.edges[e].typ == t {
+			return e
 		}
 	}
+	e := int32(len(p.edges))
+	p.edges = append(p.edges, edgeKey{head: head, tail: tail, typ: t, next: p.edgeByTail[tail]})
+	p.edgeByTail[tail] = e
+	return e
+}
+
+// cellFor returns the index of edge e's cell for construct slot s,
+// appending a fresh cell at the end of e's chain if there is none.
+func (p *Profiler) cellFor(e, s int32) int32 {
+	last := int32(0)
+	for i := p.edges[e].cells; i != 0; i = p.cells[i].next {
+		if p.cells[i].slot == s {
+			return i
+		}
+		last = i
+	}
+	i := int32(len(p.cells))
+	p.cells = append(p.cells, edgeCell{minDist: math.MaxInt64, slot: s})
+	if last == 0 {
+		p.edges[e].cells = i
+	} else {
+		p.cells[last].next = i
+	}
+	p.profiles[s].nCells++
+	return i
 }

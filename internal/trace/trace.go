@@ -126,18 +126,25 @@ func Record(prog *ir.Program, cfg vm.Config) (*Recorder, *vm.Result, error) {
 }
 
 // Replay feeds a recorded trace through a fresh profiler, producing the
-// same profile the online run would have produced.
+// same profile the online run would have produced. It rejects any event
+// whose PC lies outside the program, which the profiler does not check.
 func Replay(prog *ir.Program, events []Event, memWords int64, opts core.Options) (*core.Profile, error) {
 	p := core.NewProfiler(prog, memWords, opts)
 	for i := range events {
 		ev := &events[i]
 		switch ev.Kind {
-		case KStep:
-			p.Step(int(ev.GPC))
-		case KLoad:
-			p.Load(ev.Addr, int(ev.GPC))
-		case KStore:
-			p.Store(ev.Addr, int(ev.GPC))
+		case KStep, KLoad, KStore:
+			if ev.GPC < 0 || int(ev.GPC) >= prog.NumPCs {
+				return nil, fmt.Errorf("trace: %s event at pc %d outside [0, %d)", ev.Kind, ev.GPC, prog.NumPCs)
+			}
+			switch ev.Kind {
+			case KStep:
+				p.Step(int(ev.GPC))
+			case KLoad:
+				p.Load(ev.Addr, int(ev.GPC))
+			default:
+				p.Store(ev.Addr, int(ev.GPC))
+			}
 		case KEnter:
 			f := prog.FuncAt(int(ev.GPC))
 			if f == nil || f.Base != int(ev.GPC) {

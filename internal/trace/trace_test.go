@@ -40,9 +40,12 @@ func equalProfiles(t *testing.T, online, offline *core.Profile) {
 			}
 		}
 	}
+	if len(online.NestDirect) != len(offline.NestDirect) {
+		t.Fatalf("nest counters: %d vs %d", len(online.NestDirect), len(offline.NestDirect))
+	}
 	for k, v := range online.NestDirect {
-		if offline.NestDirect[k] != v {
-			t.Fatalf("nest counter %d differs: %d vs %d", k, v, offline.NestDirect[k])
+		if w, ok := offline.NestDirect[k]; !ok || w != v {
+			t.Fatalf("nest counter %d differs: %d vs %d", k, v, w)
 		}
 	}
 }
@@ -137,9 +140,16 @@ func TestReplayRejectsCorruptTraces(t *testing.T) {
 		{{Kind: trace.KBranchTaken, GPC: 0}}, // pc 0 is not a branch here
 		{{Kind: trace.Kind(99)}},
 	}
+	// Every event kind just outside [0, NumPCs): the profiler indexes its
+	// tables by PC, so none may reach it.
+	for k := trace.KStep; k <= trace.KBranchNotTaken; k++ {
+		for _, pc := range []int32{-1, int32(prog.NumPCs)} {
+			cases = append(cases, []trace.Event{{Kind: k, GPC: pc, Addr: 1}})
+		}
+	}
 	for i, evs := range cases {
 		if _, err := trace.Replay(prog, evs, 0, core.DefaultOptions()); err == nil {
-			t.Errorf("case %d: corrupt trace accepted", i)
+			t.Errorf("case %d %+v: corrupt trace accepted", i, evs)
 		}
 	}
 }
