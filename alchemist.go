@@ -29,12 +29,10 @@
 package alchemist
 
 import (
-	"context"
 	"errors"
 	"io"
 
 	"alchemist/internal/advisor"
-	"alchemist/internal/compile"
 	"alchemist/internal/core"
 	"alchemist/internal/indexing"
 	"alchemist/internal/ir"
@@ -81,47 +79,13 @@ const (
 	KindCond = indexing.KindCond
 )
 
-// Program is a compiled mini-C program.
+// Program is a compiled mini-C program, as returned by Engine.Compile.
 type Program struct {
 	ir *ir.Program
 	// Source is the original source text.
 	Source string
 	// Name is the file name used in diagnostics and positions.
 	Name string
-}
-
-// compileProgram runs the full lexer/parser/sema/compile pipeline. The
-// Engine's cache sits in front of this.
-func compileProgram(name, src string, co CompileOptions) (*Program, error) {
-	p, err := compile.BuildConfig(name, src, compile.Config{Optimize: co.Optimize})
-	if err != nil {
-		return nil, err
-	}
-	return &Program{ir: p, Source: src, Name: name}, nil
-}
-
-// CompileCtx compiles mini-C source text through the package-default
-// Engine: repeated compiles of the same source hit its program cache.
-func CompileCtx(ctx context.Context, name, src string) (*Program, error) {
-	return DefaultEngine().Compile(ctx, name, src)
-}
-
-// Compile parses, type-checks, and compiles mini-C source text.
-//
-// Deprecated: use Engine.Compile (or CompileCtx), which supports
-// cancellation and caches compiled programs.
-func Compile(name, src string) (*Program, error) {
-	return DefaultEngine().Compile(context.Background(), name, src)
-}
-
-// CompileOptimized additionally runs the optimization passes (constant
-// folding, unreachable-code elimination). Profiles of optimized code are
-// still well-formed: predicates — and therefore constructs — are never
-// folded away.
-//
-// Deprecated: use Engine.CompileWith with CompileOptions{Optimize: true}.
-func CompileOptimized(name, src string) (*Program, error) {
-	return DefaultEngine().CompileWith(context.Background(), name, src, CompileOptions{Optimize: true})
 }
 
 // IR exposes the compiled program for tooling (disassembly, PC lookup).
@@ -156,12 +120,10 @@ type RunConfig struct {
 	// is untouched) and once more with the final total on successful
 	// completion. Reports are monotonically non-decreasing.
 	OnProgress func(steps int64)
-
-	// metrics is the VM instrumentation sink, injected by the Engine.
-	metrics *vm.Metrics
 }
 
-func (c RunConfig) vmConfig() vm.Config {
+// vmConfig is the VM configuration of c, instrumented into m.
+func (c RunConfig) vmConfig(m *vm.Metrics) vm.Config {
 	return vm.Config{
 		Input:      c.Input,
 		MemWords:   c.MemWords,
@@ -171,29 +133,13 @@ func (c RunConfig) vmConfig() vm.Config {
 		Out:        c.Stdout,
 		Seed:       c.Seed,
 		OnProgress: c.OnProgress,
-		Metrics:    c.metrics,
+		Metrics:    m,
 	}
 }
 
-// RunCtx executes the program without instrumentation under ctx.
-// Cancellation is observed by every interpreter goroutine within one VM
-// step-check window (vm.CancelCheckInterval instructions); the error is
-// then ctx.Err().
-func (p *Program) RunCtx(ctx context.Context, cfg RunConfig) (*RunResult, error) {
-	return core.RunProgramCtx(ctx, p.ir, cfg.vmConfig())
-}
-
-// Run executes the program without instrumentation.
-//
-// Deprecated: use RunCtx (or Engine.Run), which supports cancellation
-// and timeouts.
-func (p *Program) Run(cfg RunConfig) (*RunResult, error) {
-	return p.RunCtx(context.Background(), cfg)
-}
-
-// ErrProfileNeedsSequential is returned by Profile when the config
-// requests parallel execution: the profiler is a sequential-mode VM
-// tracer, and dependence distances are defined over the sequential
+// ErrProfileNeedsSequential is returned by Engine.Profile when the
+// config requests parallel execution: the profiler is a sequential-mode
+// VM tracer, and dependence distances are defined over the sequential
 // instruction stream (the paper profiles the sequential program).
 var ErrProfileNeedsSequential = errors.New(
 	"alchemist: profiling requires sequential execution: unset RunConfig.Parallel and RunConfig.SimWorkers")
@@ -201,9 +147,9 @@ var ErrProfileNeedsSequential = errors.New(
 // ProfileConfig parameterizes a profiled execution.
 //
 // Profiling always runs the program sequentially: the embedded
-// RunConfig must not set Parallel or SimWorkers, otherwise Profile
-// fails with ErrProfileNeedsSequential. (Earlier versions silently
-// forced sequential execution instead.)
+// RunConfig must not set Parallel or SimWorkers, otherwise
+// Engine.Profile fails with ErrProfileNeedsSequential. (Earlier versions
+// silently forced sequential execution instead.)
 type ProfileConfig struct {
 	RunConfig
 	// TrackWAR / TrackWAW enable anti- and output-dependence profiling;
@@ -216,33 +162,6 @@ type ProfileConfig struct {
 	// PoolPrealloc warms the construct pool (default 65536 nodes, taken
 	// from memory only as the run first uses them).
 	PoolPrealloc int
-
-	// scratch recycles profiling buffers across runs, injected by the
-	// Engine batch path.
-	scratch *core.Scratch
-}
-
-// ProfileCtx executes the program sequentially under the profiler,
-// observing ctx like RunCtx does.
-func (p *Program) ProfileCtx(ctx context.Context, cfg ProfileConfig) (*Profile, *RunResult, error) {
-	if cfg.Parallel || cfg.SimWorkers > 0 {
-		return nil, nil, ErrProfileNeedsSequential
-	}
-	opts := core.DefaultOptions()
-	opts.TrackWAR = !cfg.DisableWAR
-	opts.TrackWAW = !cfg.DisableWAW
-	opts.ReaderSlots = cfg.ReaderSlots
-	opts.PoolPrealloc = cfg.PoolPrealloc
-	opts.Scratch = cfg.scratch
-	return core.ProfileProgramCtx(ctx, p.ir, cfg.vmConfig(), opts)
-}
-
-// Profile executes the program sequentially under the profiler.
-//
-// Deprecated: use ProfileCtx (or Engine.Profile), which supports
-// cancellation and timeouts.
-func (p *Program) Profile(cfg ProfileConfig) (*Profile, *RunResult, error) {
-	return p.ProfileCtx(context.Background(), cfg)
 }
 
 // Report renders a ranked Fig. 2/3-style text profile.

@@ -2,6 +2,7 @@ package alchemist_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -33,11 +34,12 @@ int main() {
 `
 
 func TestCompileAndRun(t *testing.T) {
-	prog, err := alchemist.Compile("api.mc", apiSrc)
+	ctx, eng := context.Background(), alchemist.NewEngine()
+	prog, err := eng.Compile(ctx, "api.mc", apiSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Run(alchemist.RunConfig{})
+	res, err := eng.Run(ctx, prog, alchemist.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,18 +58,20 @@ func TestCompileAndRun(t *testing.T) {
 }
 
 func TestCompileError(t *testing.T) {
-	_, err := alchemist.Compile("bad.mc", "int main() { return x; }")
+	ctx, eng := context.Background(), alchemist.NewEngine()
+	_, err := eng.Compile(ctx, "bad.mc", "int main() { return x; }")
 	if err == nil || !strings.Contains(err.Error(), "undefined variable") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestProfileAPI(t *testing.T) {
-	prog, err := alchemist.Compile("api.mc", apiSrc)
+	ctx, eng := context.Background(), alchemist.NewEngine()
+	prog, err := eng.Compile(ctx, "api.mc", apiSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile, res, err := prog.Profile(alchemist.ProfileConfig{})
+	profile, res, err := eng.Profile(ctx, prog, alchemist.ProfileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +117,12 @@ func TestProfileAPI(t *testing.T) {
 }
 
 func TestProfileWAROptions(t *testing.T) {
-	prog, err := alchemist.Compile("api.mc", apiSrc)
+	ctx, eng := context.Background(), alchemist.NewEngine()
+	prog, err := eng.Compile(ctx, "api.mc", apiSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile, _, err := prog.Profile(alchemist.ProfileConfig{DisableWAR: true, DisableWAW: true})
+	profile, _, err := eng.Profile(ctx, prog, alchemist.ProfileConfig{DisableWAR: true, DisableWAW: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,23 +134,24 @@ func TestProfileWAROptions(t *testing.T) {
 }
 
 func TestRunParallelAndSim(t *testing.T) {
+	ctx, eng := context.Background(), alchemist.NewEngine()
 	w := progs.Ogg()
 	input := w.InputFor(w.SmallScale)
 
-	seqProg, err := alchemist.Compile("ogg.mc", w.Source)
+	seqProg, err := eng.Compile(ctx, "ogg.mc", w.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := seqProg.Run(alchemist.RunConfig{Input: input, MemWords: w.MemWords})
+	seq, err := eng.Run(ctx, seqProg, alchemist.RunConfig{Input: input, MemWords: w.MemWords})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	parProg, err := alchemist.Compile("ogg_par.mc", w.ParSource)
+	parProg, err := eng.Compile(ctx, "ogg_par.mc", w.ParSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := parProg.Run(alchemist.RunConfig{Input: input, MemWords: w.MemWords, SimWorkers: 4})
+	sim, err := eng.Run(ctx, parProg, alchemist.RunConfig{Input: input, MemWords: w.MemWords, SimWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +168,11 @@ func TestRunParallelAndSim(t *testing.T) {
 	}
 
 	// Goroutine mode produces the same output.
-	parProg2, err := alchemist.Compile("ogg_par.mc", w.ParSource)
+	parProg2, err := eng.Compile(ctx, "ogg_par.mc", w.ParSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := parProg2.Run(alchemist.RunConfig{Input: input, MemWords: w.MemWords, Parallel: true})
+	par, err := eng.Run(ctx, parProg2, alchemist.RunConfig{Input: input, MemWords: w.MemWords, Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +184,13 @@ func TestRunParallelAndSim(t *testing.T) {
 }
 
 func TestStdout(t *testing.T) {
-	prog, err := alchemist.Compile("p.mc", `int main() { print("hi ", 7); return 0; }`)
+	ctx, eng := context.Background(), alchemist.NewEngine()
+	prog, err := eng.Compile(ctx, "p.mc", `int main() { print("hi ", 7); return 0; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := prog.Run(alchemist.RunConfig{Stdout: &buf}); err != nil {
+	if _, err := eng.Run(ctx, prog, alchemist.RunConfig{Stdout: &buf}); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != "hi 7\n" {
@@ -192,7 +199,8 @@ func TestStdout(t *testing.T) {
 }
 
 func TestIRAccess(t *testing.T) {
-	prog, err := alchemist.Compile("p.mc", `int main() { return 42; }`)
+	ctx, eng := context.Background(), alchemist.NewEngine()
+	prog, err := eng.Compile(ctx, "p.mc", `int main() { return 42; }`)
 	if err != nil {
 		t.Fatal(err)
 	}

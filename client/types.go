@@ -22,9 +22,12 @@ type SourceSpec struct {
 	// Workload selects an embedded workload by name.
 	Workload string `json:"workload,omitempty"`
 	// Inputs are explicit input streams, one batch job per stream
-	// (inline source only).
+	// (inline source only). The server refuses more than 64.
 	Inputs [][]int64 `json:"inputs,omitempty"`
-	// Scales are workload input scales, one batch job per scale.
+	// Scales are workload input scales, one batch job per scale. The
+	// server refuses more than 64, a negative scale, and scales adding
+	// up to more than 16 times the workload's default scale (0 counts
+	// as the default).
 	Scales []int `json:"scales,omitempty"`
 	// Optimize compiles with the optimization passes.
 	Optimize bool `json:"optimize,omitempty"`

@@ -280,7 +280,7 @@ func parseTypes(s string) ([]alchemist.DepType, error) {
 
 // profileMerged compiles the source through an Engine instrumented into
 // reg and profiles every job concurrently, returning the union profile.
-// A non-nil progress receives live per-job step counts, with each job
+// progress (nil-safe) receives live per-job step counts, with each job
 // marked done as it completes.
 func profileMerged(ctx context.Context, reg *obs.Registry, name, src string, jobs []alchemist.ProfileJob, memWords int64, workers int, progress *obs.Progress) (*alchemist.Profile, error) {
 	eng := alchemist.NewEngine(alchemist.WithWorkers(workers), alchemist.WithRegistry(reg))
@@ -289,16 +289,10 @@ func profileMerged(ctx context.Context, reg *obs.Registry, name, src string, job
 		return nil, err
 	}
 	for i := range jobs {
-		cfg := &alchemist.ProfileConfig{RunConfig: alchemist.RunConfig{MemWords: memWords}}
-		if progress != nil {
-			progress.Update(i, 0)
-			cfg.OnProgress = func(steps int64) { progress.Update(i, steps) }
-		}
-		jobs[i].Config = cfg
-	}
-	if progress == nil {
-		merged, _, err := eng.ProfileBatch(ctx, prog, jobs)
-		return merged, err
+		progress.Update(i, 0)
+		jobs[i].Config = &alchemist.ProfileConfig{RunConfig: alchemist.RunConfig{
+			MemWords: memWords, OnProgress: func(steps int64) { progress.Update(i, steps) },
+		}}
 	}
 	// Stream per-job completions so the live display can count finished
 	// jobs, then merge exactly as ProfileBatch would.
@@ -499,11 +493,12 @@ func cmdRun(args []string) error {
 	}
 	ctx, cancel := newCtx(*timeout)
 	defer cancel()
-	prog, err := alchemist.CompileCtx(ctx, name, src)
+	eng := alchemist.NewEngine()
+	prog, err := eng.Compile(ctx, name, src)
 	if err != nil {
 		return err
 	}
-	res, err := prog.RunCtx(ctx, alchemist.RunConfig{
+	res, err := eng.Run(ctx, prog, alchemist.RunConfig{
 		Input: input, MemWords: memWords, Parallel: *parallel, Stdout: os.Stdout,
 	})
 	if err != nil {
@@ -523,7 +518,7 @@ func cmdDisasm(args []string) error {
 	if err != nil {
 		return err
 	}
-	prog, err := alchemist.CompileCtx(context.Background(), name, src)
+	prog, err := alchemist.NewEngine().Compile(context.Background(), name, src)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -81,6 +82,26 @@ func TestCLIProfileFile(t *testing.T) {
 	out = run(t, "run", "-f", path, "-input", "25")
 	if !strings.Contains(out, "out=[300]") {
 		t.Errorf("run output:\n%s", out)
+	}
+}
+
+// TestCLIProfileSuiteStdoutStable: a merged suite profile does not depend
+// on the worker count or on the live progress display.
+func TestCLIProfileSuiteStdoutStable(t *testing.T) {
+	stdout := func(extra ...string) []byte {
+		t.Helper()
+		args := append([]string{"profile", "-w", "gzip", "-scales", "300,600", "-json"}, extra...)
+		out, err := exec.Command(binary, args...).Output()
+		if err != nil {
+			t.Fatalf("alchemist %s: %v", strings.Join(args, " "), err)
+		}
+		return out
+	}
+	want := stdout("-jobs", "1")
+	for _, extra := range [][]string{{"-jobs", "2"}, {"-jobs", "2", "-progress"}} {
+		if got := stdout(extra...); !bytes.Equal(got, want) {
+			t.Errorf("profile %s: stdout differs from -jobs 1 (%d vs %d bytes)", strings.Join(extra, " "), len(got), len(want))
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"alchemist/internal/compile"
 	"alchemist/internal/core"
 	"alchemist/internal/obs"
 	"alchemist/internal/vm"
@@ -35,7 +36,9 @@ const DefaultProgramCost = 4096
 // occupies distinct cache entries.
 type CompileOptions struct {
 	// Optimize runs the optimization passes (constant folding,
-	// unreachable-code elimination) before PCs are assigned.
+	// unreachable-code elimination) before PCs are assigned. Profiles of
+	// optimized code are still well-formed: predicates — and therefore
+	// constructs — are never folded away.
 	Optimize bool
 }
 
@@ -94,9 +97,6 @@ type CacheStats struct {
 // depth and in-flight jobs, per-job wall time, VM dispatch-loop
 // counters, and profiler shadow/pool activity. Metrics() exposes the
 // registry; obs.StartServer serves it over HTTP.
-//
-// The free functions of this package (Compile, Program.Profile, ...)
-// remain as deprecated wrappers over a package-default Engine.
 type Engine struct {
 	workers  int
 	cacheCap int
@@ -350,14 +350,16 @@ func (e *Engine) CompileWith(ctx context.Context, name, src string, co CompileOp
 	return prog, err
 }
 
-// compileCounted runs the compile pipeline under the pipeline counters.
+// compileCounted runs the full lexer/parser/sema/compile pipeline under
+// the pipeline counters.
 func (e *Engine) compileCounted(name, src string, co CompileOptions) (*Program, error) {
 	e.em.compiles.Inc()
-	prog, err := compileProgram(name, src, co)
+	p, err := compile.BuildConfig(name, src, compile.Config{Optimize: co.Optimize})
 	if err != nil {
 		e.em.compileErrors.Inc()
+		return nil, err
 	}
-	return prog, err
+	return &Program{ir: p, Source: src, Name: name}, nil
 }
 
 // insertLocked caches prog under key and evicts from the LRU tail until
@@ -387,21 +389,29 @@ func (e *Engine) insertLocked(key programKey, prog *Program) {
 	e.em.cacheCost.Set(e.cost)
 }
 
-// Run executes p without instrumentation under ctx.
+// Run executes p without instrumentation under ctx. Cancellation is
+// observed by every interpreter goroutine within one VM step-check
+// window (vm.CancelCheckInterval instructions); the error is then
+// ctx.Err().
 func (e *Engine) Run(ctx context.Context, p *Program, cfg RunConfig) (*RunResult, error) {
-	cfg.metrics = e.vmm
-	return p.RunCtx(ctx, cfg)
+	return core.RunProgramCtx(ctx, p.ir, cfg.vmConfig(e.vmm))
 }
 
-// Profile executes p sequentially under the profiler under ctx. A
-// config requesting parallel execution is rejected with
-// ErrProfileNeedsSequential.
+// Profile executes p sequentially under the profiler under ctx, observing
+// ctx like Run does. A config requesting parallel execution is rejected
+// with ErrProfileNeedsSequential.
 func (e *Engine) Profile(ctx context.Context, p *Program, cfg ProfileConfig) (*Profile, *RunResult, error) {
-	cfg.metrics = e.vmm
-	sc := e.scratchGet()
-	defer e.scratchPut(sc)
-	cfg.scratch = sc
-	prof, res, err := p.ProfileCtx(ctx, cfg)
+	if cfg.Parallel || cfg.SimWorkers > 0 {
+		return nil, nil, ErrProfileNeedsSequential
+	}
+	opts := core.DefaultOptions()
+	opts.TrackWAR = !cfg.DisableWAR
+	opts.TrackWAW = !cfg.DisableWAW
+	opts.ReaderSlots = cfg.ReaderSlots
+	opts.PoolPrealloc = cfg.PoolPrealloc
+	opts.Scratch = e.scratchGet()
+	defer e.scratchPut(opts.Scratch)
+	prof, res, err := core.ProfileProgramCtx(ctx, p.ir, cfg.vmConfig(e.vmm), opts)
 	e.flushProfileStats(prof)
 	return prof, res, err
 }
@@ -608,18 +618,4 @@ func (e *Engine) RunBatch(ctx context.Context, p *Program, jobs []RunJob) ([]Bat
 		res, err := e.Run(ctx, p, cfg)
 		return BatchResult{Run: res, Err: err}
 	}), len(jobs))
-}
-
-// defaultEngine backs the deprecated package-level facade functions.
-var (
-	defaultEngineOnce sync.Once
-	defaultEngine     *Engine
-)
-
-// DefaultEngine returns the package-default Engine used by the
-// deprecated free functions. It is created on first use with default
-// options.
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() { defaultEngine = NewEngine() })
-	return defaultEngine
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -162,10 +161,11 @@ func TestProfileBatchMatchesSequentialMerge(t *testing.T) {
 	}
 	inputs := batchInputs()
 
-	// Sequential reference: Profile per input, then Merge.
+	// Sequential reference: Profile per input, each on a fresh Engine
+	// (so no scratch is shared with the batch), then Merge.
 	seq := make([]*alchemist.Profile, len(inputs))
 	for i, in := range inputs {
-		p, _, err := prog.ProfileCtx(ctx, alchemist.ProfileConfig{
+		p, _, err := alchemist.NewEngine().Profile(ctx, prog, alchemist.ProfileConfig{
 			RunConfig: alchemist.RunConfig{Input: in},
 		})
 		if err != nil {
@@ -296,7 +296,8 @@ func TestProfileBatchNilContext(t *testing.T) {
 // TestProfileRejectsParallel: profiling must not silently override a
 // parallel config — it errors instead.
 func TestProfileRejectsParallel(t *testing.T) {
-	prog, err := alchemist.CompileCtx(context.Background(), "p.mc", `int main() { return 0; }`)
+	ctx, eng := context.Background(), alchemist.NewEngine()
+	prog, err := eng.Compile(ctx, "p.mc", `int main() { return 0; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,14 +305,9 @@ func TestProfileRejectsParallel(t *testing.T) {
 		{RunConfig: alchemist.RunConfig{Parallel: true}},
 		{RunConfig: alchemist.RunConfig{SimWorkers: 2}},
 	} {
-		if _, _, err := prog.Profile(cfg); !errors.Is(err, alchemist.ErrProfileNeedsSequential) {
+		if _, _, err := eng.Profile(ctx, prog, cfg); !errors.Is(err, alchemist.ErrProfileNeedsSequential) {
 			t.Errorf("Profile(%+v) err = %v, want ErrProfileNeedsSequential", cfg, err)
 		}
-	}
-	// Engine.Profile enforces the same contract.
-	if _, _, err := alchemist.DefaultEngine().Profile(context.Background(), prog,
-		alchemist.ProfileConfig{RunConfig: alchemist.RunConfig{Parallel: true}}); !errors.Is(err, alchemist.ErrProfileNeedsSequential) {
-		t.Errorf("Engine.Profile err = %v, want ErrProfileNeedsSequential", err)
 	}
 }
 
@@ -360,32 +356,8 @@ func errContains(err error, sub string) bool {
 func TestCompileCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := alchemist.CompileCtx(ctx, "x.mc", "int main() { return 0; }"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CompileCtx err = %v, want context.Canceled", err)
-	}
-}
-
-// TestDeprecatedFacade: the free functions still work as wrappers over
-// the default engine.
-func TestDeprecatedFacade(t *testing.T) {
-	src := fmt.Sprintf("int main() { out(%d); return 0; }", 41)
-	prog, err := alchemist.Compile("facade.mc", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := prog.Run(alchemist.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Output) != 1 || res.Output[0] != 41 {
-		t.Fatalf("output = %v", res.Output)
-	}
-	prog2, err := alchemist.Compile("facade.mc", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog2 != prog {
-		t.Error("default engine did not cache the facade compile")
+	if _, err := alchemist.NewEngine().Compile(ctx, "x.mc", "int main() { return 0; }"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Compile err = %v, want context.Canceled", err)
 	}
 }
 

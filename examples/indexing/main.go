@@ -57,14 +57,13 @@ int main() {
 `
 
 func main() {
-	// The lightweight path: CompileCtx/ProfileCtx go through the
-	// package-default Engine without constructing one explicitly.
 	ctx := context.Background()
-	prog, err := alchemist.CompileCtx(ctx, "contexts.mc", src)
+	eng := alchemist.NewEngine()
+	prog, err := eng.Compile(ctx, "contexts.mc", src)
 	if err != nil {
 		log.Fatal(err)
 	}
-	profile, _, err := prog.ProfileCtx(ctx, alchemist.ProfileConfig{})
+	profile, _, err := eng.Profile(ctx, prog, alchemist.ProfileConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package alchemist_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -9,25 +10,26 @@ import (
 )
 
 func TestCompileOptimizedFacade(t *testing.T) {
+	ctx, eng := context.Background(), alchemist.NewEngine()
 	src := `
 int main() {
 	int x = 2 + 3 * 4;
 	out(x);
 	return 0;
 }`
-	plain, err := alchemist.Compile("p.mc", src)
+	plain, err := eng.Compile(ctx, "p.mc", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optd, err := alchemist.CompileOptimized("p.mc", src)
+	optd, err := eng.CompileWith(ctx, "p.mc", src, alchemist.CompileOptions{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := plain.Run(alchemist.RunConfig{})
+	rp, err := eng.Run(ctx, plain, alchemist.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := optd.Run(alchemist.RunConfig{})
+	ro, err := eng.Run(ctx, optd, alchemist.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +42,7 @@ int main() {
 }
 
 func TestMergeAndDiffFacade(t *testing.T) {
+	ctx, eng := context.Background(), alchemist.NewEngine()
 	src := `
 int shared;
 int sink[8];
@@ -56,7 +59,7 @@ int main() {
 	}
 	return 0;
 }`
-	prog, err := alchemist.Compile("m.mc", src)
+	prog, err := eng.Compile(ctx, "m.mc", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ int main() {
 		for i := int64(0); i < 12; i++ {
 			input = append(input, i, mode)
 		}
-		p, _, err := prog.Profile(alchemist.ProfileConfig{
+		p, _, err := eng.Profile(ctx, prog, alchemist.ProfileConfig{
 			RunConfig: alchemist.RunConfig{Input: input},
 		})
 		if err != nil {
@@ -107,34 +110,36 @@ int main() {
 }
 
 func TestRunConfigValidation(t *testing.T) {
-	prog, err := alchemist.Compile("p.mc", `int main() { return 0; }`)
+	ctx, eng := context.Background(), alchemist.NewEngine()
+	prog, err := eng.Compile(ctx, "p.mc", `int main() { return 0; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Run(alchemist.RunConfig{Parallel: true, SimWorkers: 2}); err == nil {
+	if _, err := eng.Run(ctx, prog, alchemist.RunConfig{Parallel: true, SimWorkers: 2}); err == nil {
 		t.Error("Parallel+SimWorkers accepted")
 	}
 }
 
 func TestProfileSeedAffectsRand(t *testing.T) {
+	ctx, eng := context.Background(), alchemist.NewEngine()
 	src := `
 int main() {
 	out(rand() & 65535);
 	return 0;
 }`
-	prog, err := alchemist.Compile("r.mc", src)
+	prog, err := eng.Compile(ctx, "r.mc", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := prog.Run(alchemist.RunConfig{Seed: 1})
+	a, err := eng.Run(ctx, prog, alchemist.RunConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := prog.Run(alchemist.RunConfig{Seed: 99999})
+	b, err := eng.Run(ctx, prog, alchemist.RunConfig{Seed: 99999})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := prog.Run(alchemist.RunConfig{Seed: 1})
+	c, err := eng.Run(ctx, prog, alchemist.RunConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

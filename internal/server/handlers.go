@@ -35,10 +35,11 @@ type SourceSpec struct {
 	// must be set.
 	Workload string `json:"workload,omitempty"`
 	// Inputs are explicit input streams, one batch job per stream
-	// (inline source only).
+	// (inline source only; at most maxBatchJobs).
 	Inputs [][]int64 `json:"inputs,omitempty"`
 	// Scales are workload input scales, one batch job per scale
-	// (0 = the paper default; workloads only).
+	// (0 = the paper default; workloads only; at most maxBatchJobs,
+	// adding up to at most maxScaleFactor times the default).
 	Scales []int `json:"scales,omitempty"`
 	// Optimize compiles with the optimization passes.
 	Optimize bool `json:"optimize,omitempty"`
@@ -48,53 +49,93 @@ type SourceSpec struct {
 	MemWords int64 `json:"mem_words,omitempty"`
 }
 
-// maxMemWords caps a request's mem_words: 1<<24 words (128 MiB), four
-// times the VM default. The VM itself accepts far more, and a request
-// must not be able to make it allocate that much.
-const maxMemWords = 1 << 24
+// Caps on what one request can make the server generate and run.
+const (
+	// maxMemWords caps a request's mem_words: 1<<24 words (128 MiB), four
+	// times the VM default. The VM itself accepts far more, and a request
+	// must not be able to make it allocate that much.
+	maxMemWords = 1 << 24
+	// maxBatchJobs caps a request's input streams or scales: each becomes
+	// one batch job, and the engine starts a goroutine per job.
+	maxBatchJobs = 64
+	// maxScaleFactor caps the sum of a request's workload scales at this
+	// many times the workload's DefaultScale (a scale of 0 counts as
+	// DefaultScale): input generation grows with the scale.
+	maxScaleFactor = 16
+)
 
-// resolve turns the spec into a compile unit plus one input stream per
-// batch job (a nil stream runs the default input). All failures are user
-// errors.
-func (sp SourceSpec) resolve() (name, src string, inputs [][]int64, memWords int64, err error) {
+// check validates the spec and names its compile unit; w is the
+// selected workload, nil for inline source. It is the one check of a
+// request's source on every route, and it generates no input (inputs
+// does, for execution only). All failures are user errors.
+func (sp SourceSpec) check() (name, src string, w *progs.Workload, err error) {
 	if sp.MemWords < 0 || sp.MemWords > maxMemWords {
-		return "", "", nil, 0, fmt.Errorf("mem_words %d out of range [0, %d]", sp.MemWords, maxMemWords)
+		return "", "", nil, fmt.Errorf("mem_words %d out of range [0, %d]", sp.MemWords, maxMemWords)
 	}
 	switch {
 	case sp.Workload != "" && sp.Source != "":
-		return "", "", nil, 0, errors.New("request has both source and workload; pick one")
+		return "", "", nil, errors.New("request has both source and workload; pick one")
 	case sp.Workload != "":
 		if len(sp.Inputs) > 0 {
-			return "", "", nil, 0, errors.New("inputs apply to inline source; use scales with a workload")
+			return "", "", nil, errors.New("inputs apply to inline source; use scales with a workload")
 		}
-		w, werr := progs.ByName(sp.Workload)
-		if werr != nil {
-			return "", "", nil, 0, werr
+		if w, err = progs.ByName(sp.Workload); err != nil {
+			return "", "", nil, err
 		}
-		scales := sp.Scales
-		if len(scales) == 0 {
-			scales = []int{0}
+		if len(sp.Scales) > maxBatchJobs {
+			return "", "", nil, fmt.Errorf("%d scales exceed the limit of %d", len(sp.Scales), maxBatchJobs)
 		}
-		for _, sc := range scales {
-			inputs = append(inputs, w.InputFor(sc))
+		budget := maxScaleFactor * w.DefaultScale
+		for _, sc := range sp.Scales {
+			if sc < 0 {
+				return "", "", nil, fmt.Errorf("scale %d is negative", sc)
+			}
+			if sc == 0 {
+				sc = w.DefaultScale
+			}
+			if sc > budget {
+				return "", "", nil, fmt.Errorf("scales add up to more than %d (%d times the %s default scale %d)",
+					maxScaleFactor*w.DefaultScale, maxScaleFactor, w.Name, w.DefaultScale)
+			}
+			budget -= sc
 		}
-		return w.Name + ".mc", w.Source, inputs, w.MemWords, nil
+		return w.Name + ".mc", w.Source, w, nil
 	case sp.Source != "":
 		if len(sp.Scales) > 0 {
-			return "", "", nil, 0, errors.New("scales apply to workloads; use inputs with inline source")
+			return "", "", nil, errors.New("scales apply to workloads; use inputs with inline source")
+		}
+		if len(sp.Inputs) > maxBatchJobs {
+			return "", "", nil, fmt.Errorf("%d input streams exceed the limit of %d", len(sp.Inputs), maxBatchJobs)
 		}
 		name = sp.Name
 		if name == "" {
 			name = "request.mc"
 		}
-		inputs = sp.Inputs
-		if len(inputs) == 0 {
-			inputs = [][]int64{nil}
-		}
-		return name, sp.Source, inputs, sp.MemWords, nil
+		return name, sp.Source, nil, nil
 	default:
-		return "", "", nil, 0, errors.New("request needs source or workload")
+		return "", "", nil, errors.New("request needs source or workload")
 	}
+}
+
+// inputs generates one input stream per batch job of a checked spec (a
+// nil stream runs the default input) and the memory cap they run under;
+// w is what check returned.
+func (sp SourceSpec) inputs(w *progs.Workload) ([][]int64, int64) {
+	if w == nil {
+		if len(sp.Inputs) == 0 {
+			return [][]int64{nil}, sp.MemWords
+		}
+		return sp.Inputs, sp.MemWords
+	}
+	scales := sp.Scales
+	if len(scales) == 0 {
+		scales = []int{0}
+	}
+	inputs := make([][]int64, len(scales))
+	for i, sc := range scales {
+		inputs[i] = w.InputFor(sc)
+	}
+	return inputs, w.MemWords
 }
 
 // CompileRequest is the body of POST /v1/compile.
@@ -207,24 +248,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeDecodeError(w, err)
 		return
 	}
-	name, src := req.Name, req.Source
-	if req.Workload != "" {
-		if req.Source != "" {
-			httpError(w, http.StatusBadRequest, CodeBadRequest, "request has both source and workload; pick one")
-			return
-		}
-		wl, err := progs.ByName(req.Workload)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-			return
-		}
-		name, src = wl.Name+".mc", wl.Source
-	} else if src == "" {
-		httpError(w, http.StatusBadRequest, CodeBadRequest, "request needs source or workload")
+	name, src, _, err := SourceSpec{Name: req.Name, Source: req.Source, Workload: req.Workload}.check()
+	if err != nil {
+		httpError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
-	}
-	if name == "" {
-		name = "request.mc"
 	}
 	prog, err := s.eng.CompileWith(r.Context(), name, src,
 		alchemist.CompileOptions{Optimize: req.Optimize})
@@ -285,14 +312,14 @@ func decodeSync(r *http.Request, kind string) (JobRequest, error) {
 
 // ---------- work execution (shared by sync handlers and async jobs) ----------
 
-// execute runs one request of any kind on the shared engine: it resolves
+// execute runs one request of any kind on the shared engine: it checks
 // the spec, compiles once, fans one batch job per input out through
 // RunBatch ("run") or ProfileBatch ("profile", "advise"), and shapes the
 // response by kind. Profiling ignores Parallel and plain runs ignore
 // Top. onProgress, when non-nil, receives every batch job's step
 // reports.
 func (s *Server) execute(ctx context.Context, req JobRequest, onProgress func(batchJob int, steps int64)) (any, error) {
-	name, src, inputs, memWords, err := req.resolve()
+	name, src, wl, err := req.check()
 	if err != nil {
 		return nil, userErr(err)
 	}
@@ -301,6 +328,7 @@ func (s *Server) execute(ctx context.Context, req JobRequest, onProgress func(ba
 	if err != nil {
 		return nil, userErr(err)
 	}
+	inputs, memWords := req.inputs(wl)
 	cfgs := make([]alchemist.ProfileConfig, len(inputs))
 	for i, in := range inputs {
 		cfgs[i].Input, cfgs[i].MemWords = in, memWords
@@ -434,9 +462,9 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, CodeBadRequest, "unknown job kind %q (want profile, advise, or run)", req.Kind)
 		return
 	}
-	// Validate the source before paying for an admission slot, so typos
+	// Check the source before paying for an admission slot, so typos
 	// fail fast with 400 rather than occupying the queue.
-	if _, _, _, _, err := req.resolve(); err != nil {
+	if _, _, _, err := req.check(); err != nil {
 		httpError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -418,4 +419,101 @@ func waitRunning(t *testing.T, base, id string) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("job never started running")
+}
+
+// TestRecoveryAcrossSnapshots: a journal compacted by snapshots while
+// jobs run replays to the same store. Snapshots land between any two
+// records, so events and spans appended while a snapshot is encoded
+// appear in both the snapshot and the kept segments; replay must keep
+// exactly one copy of each.
+func TestRecoveryAcrossSnapshots(t *testing.T) {
+	for _, every := range []int64{1, 2, 3, 7} {
+		t.Run(fmt.Sprintf("every_%d", every), func(t *testing.T) {
+			dir := t.TempDir()
+			snapEvery := func(o *Options) { o.SnapshotEvery = every }
+			s1, ts1 := newDurableServer(t, dir, snapEvery)
+
+			var ids []string
+			for i := 0; i < 6; i++ {
+				resp, body := post(t, ts1.URL+"/v1/jobs", `{"kind":"profile","workload":"aes","scales":[256,512]}`)
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("job create = %d: %s", resp.StatusCode, body)
+				}
+				var st JobStatus
+				if err := json.Unmarshal([]byte(body), &st); err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, st.ID)
+			}
+			for _, id := range ids {
+				if st := waitState(t, ts1.URL, id); st.State != JobSucceeded {
+					t.Fatalf("job %s = %s (%s), want succeeded", id, st.State, st.Error)
+				}
+			}
+
+			// Reading a job's event stream records an sse span, so the
+			// streams go first and status and trace are read after.
+			type view struct {
+				events, trace string
+				status        JobStatus
+			}
+			read := func(base, id string) (st JobStatus, trace string) {
+				t.Helper()
+				resp, body := doJSON(t, http.MethodGet, base+"/v1/jobs/"+id, "")
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("job get %s = %d: %s", id, resp.StatusCode, body)
+				}
+				if err := json.Unmarshal([]byte(body), &st); err != nil {
+					t.Fatal(err)
+				}
+				resp, trace = doJSON(t, http.MethodGet, base+"/v1/jobs/"+id+"/trace", "")
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("job trace %s = %d: %s", id, resp.StatusCode, trace)
+				}
+				return st, trace
+			}
+			before := make(map[string]view)
+			for _, id := range ids {
+				_, events := doJSON(t, http.MethodGet, ts1.URL+"/v1/jobs/"+id+"/events", "")
+				st, trace := read(ts1.URL, id)
+				before[id] = view{events: events, trace: trace, status: st}
+			}
+			// Let a snapshot still being encoded finish before the close.
+			for s1.wal.snapping.Load() {
+				time.Sleep(time.Millisecond)
+			}
+			ts1.Close()
+			if err := s1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := s1.Metrics().Snapshot().Counters["alchemist_journal_snapshots_total"]; n == 0 {
+				t.Fatal("no journal snapshot was taken")
+			}
+
+			s2, ts2 := newDurableServer(t, dir, snapEvery)
+			defer func() { ts2.Close(); s2.Close() }()
+			if rec := s2.Recovery(); rec.Jobs != len(ids) || rec.Interrupted != 0 {
+				t.Fatalf("recovery stats = %+v, want %d finished jobs", rec, len(ids))
+			}
+			for _, s := range []*Server{s1, s2} {
+				if n := s.sm.walErrors.Value(); n != 0 {
+					t.Errorf("journal errors = %d, want 0", n)
+				}
+			}
+			for _, id := range ids {
+				st, trace := read(ts2.URL, id)
+				if !reflect.DeepEqual(st, before[id].status) {
+					t.Errorf("job %s status after restart:\n got %+v\nwant %+v", id, st, before[id].status)
+				}
+				if trace != before[id].trace {
+					t.Errorf("job %s trace after restart:\n got %s\nwant %s", id, trace, before[id].trace)
+				}
+			}
+			for _, id := range ids {
+				if _, events := doJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/"+id+"/events", ""); events != before[id].events {
+					t.Errorf("job %s events after restart:\n got %s\nwant %s", id, events, before[id].events)
+				}
+			}
+		})
+	}
 }

@@ -152,6 +152,25 @@ func TestErrorBodiesGolden(t *testing.T) {
 		{"unknown field", "POST", "/v1/compile", `{"sauce":"int main() {}"}`,
 			http.StatusBadRequest,
 			golden("bad_request", `bad request body: json: unknown field \"sauce\"`)},
+		// /v1/compile checks its source exactly as the other routes do.
+		{"empty body on compile", "POST", "/v1/compile", ``,
+			http.StatusBadRequest,
+			golden("bad_request", "bad request body: EOF")},
+		{"empty spec on compile", "POST", "/v1/compile", `{}`,
+			http.StatusBadRequest,
+			golden("bad_request", "request needs source or workload")},
+		{"both sources on compile", "POST", "/v1/compile", `{"source":"int main() { return 0; }","workload":"gzip"}`,
+			http.StatusBadRequest,
+			golden("bad_request", "request has both source and workload; pick one")},
+		{"unknown workload on compile", "POST", "/v1/compile", `{"workload":"nope"}`,
+			http.StatusBadRequest,
+			golden("bad_request", `progs: unknown workload \"nope\"`)},
+		{"unknown workload on profile", "POST", "/v1/profile", `{"workload":"nope"}`,
+			http.StatusBadRequest,
+			golden("bad_request", `progs: unknown workload \"nope\"`)},
+		{"unknown workload on job", "POST", "/v1/jobs", `{"kind":"profile","workload":"nope"}`,
+			http.StatusBadRequest,
+			golden("bad_request", `progs: unknown workload \"nope\"`)},
 		{"bad list state", "GET", "/v1/jobs?state=bogus", "",
 			http.StatusBadRequest,
 			golden("bad_request", `unknown state \"bogus\" (want queued, running, succeeded, failed, or interrupted)`)},
@@ -179,6 +198,33 @@ func TestErrorBodiesGolden(t *testing.T) {
 		{"huge mem_words on job", "POST", "/v1/jobs", `{"kind":"run","source":"int main() { return 0; }","mem_words":137438953472}`,
 			http.StatusBadRequest,
 			golden("bad_request", "mem_words 137438953472 out of range [0, 16777216]")},
+		// Batch size and workload scales are capped before any input is
+		// generated.
+		{"negative scale on profile", "POST", "/v1/profile", `{"workload":"gzip","scales":[-1]}`,
+			http.StatusBadRequest,
+			golden("bad_request", "scale -1 is negative")},
+		{"negative scale on job", "POST", "/v1/jobs", `{"kind":"profile","workload":"gzip","scales":[300,-5]}`,
+			http.StatusBadRequest,
+			golden("bad_request", "scale -5 is negative")},
+		{"too many inputs on run", "POST", "/v1/run", `{"source":"int main() { return 0; }","inputs":[` + strings.Repeat("[],", 64) + `[]]}`,
+			http.StatusBadRequest,
+			golden("bad_request", "65 input streams exceed the limit of 64")},
+		{"too many inputs on job", "POST", "/v1/jobs", `{"kind":"run","source":"int main() { return 0; }","inputs":[` + strings.Repeat("[],", 64) + `[]]}`,
+			http.StatusBadRequest,
+			golden("bad_request", "65 input streams exceed the limit of 64")},
+		{"too many scales on profile", "POST", "/v1/profile", `{"workload":"gzip","scales":[` + strings.Repeat("1,", 64) + `1]}`,
+			http.StatusBadRequest,
+			golden("bad_request", "65 scales exceed the limit of 64")},
+		{"too many scales on job", "POST", "/v1/jobs", `{"kind":"advise","workload":"gzip","scales":[` + strings.Repeat("1,", 64) + `1]}`,
+			http.StatusBadRequest,
+			golden("bad_request", "65 scales exceed the limit of 64")},
+		{"huge scale on profile", "POST", "/v1/profile", `{"workload":"gzip","scales":[2000000000]}`,
+			http.StatusBadRequest,
+			golden("bad_request", "scales add up to more than 192000 (16 times the gzip default scale 12000)")},
+		// A scale of 0 counts as the default scale: 17 of them exceed 16x.
+		{"scale sum on job", "POST", "/v1/jobs", `{"kind":"profile","workload":"gzip","scales":[` + strings.Repeat("0,", 16) + `0]}`,
+			http.StatusBadRequest,
+			golden("bad_request", "scales add up to more than 192000 (16 times the gzip default scale 12000)")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -190,6 +236,31 @@ func TestErrorBodiesGolden(t *testing.T) {
 				t.Errorf("body = %q, want %q", body, tc.want)
 			}
 		})
+	}
+}
+
+// TestSourceSpecCheckBounds: requests exactly at a cap pass the check,
+// one past it fail. check generates no input, so the sizes cost nothing.
+func TestSourceSpecCheckBounds(t *testing.T) {
+	gzipMax := maxScaleFactor * 12000
+	cases := []struct {
+		spec SourceSpec
+		ok   bool
+	}{
+		{SourceSpec{Source: tinySrc, Inputs: make([][]int64, maxBatchJobs)}, true},
+		{SourceSpec{Source: tinySrc, Inputs: make([][]int64, maxBatchJobs+1)}, false},
+		{SourceSpec{Workload: "gzip", Scales: make([]int, maxScaleFactor)}, true},
+		{SourceSpec{Workload: "gzip", Scales: make([]int, maxScaleFactor+1)}, false},
+		{SourceSpec{Workload: "gzip", Scales: []int{gzipMax}}, true},
+		{SourceSpec{Workload: "gzip", Scales: []int{gzipMax + 1}}, false},
+		{SourceSpec{Workload: "gzip", Scales: []int{gzipMax - 12000, 0}}, true},
+		{SourceSpec{Workload: "gzip", Scales: []int{gzipMax - 12000, 0, 1}}, false},
+		{SourceSpec{Workload: "gzip", Scales: []int{0, -1}}, false},
+	}
+	for i, tc := range cases {
+		if _, _, _, err := tc.spec.check(); (err == nil) != tc.ok {
+			t.Errorf("case %d: check err = %v, want ok=%v", i, err, tc.ok)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package alchemist_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,14 +10,14 @@ import (
 	"alchemist"
 )
 
-// loadTestdata compiles one file from testdata/.
-func loadTestdata(t *testing.T, name string) *alchemist.Program {
+// loadTestdata compiles one file from testdata/ on eng.
+func loadTestdata(t *testing.T, eng *alchemist.Engine, name string) *alchemist.Program {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := alchemist.Compile(name, string(data))
+	prog, err := eng.Compile(context.Background(), name, string(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,6 +26,7 @@ func loadTestdata(t *testing.T, name string) *alchemist.Program {
 
 // TestTestdataGoldens runs every sample program against known outputs.
 func TestTestdataGoldens(t *testing.T) {
+	ctx, eng := context.Background(), alchemist.NewEngine()
 	cases := []struct {
 		file  string
 		input []int64
@@ -40,7 +42,7 @@ func TestTestdataGoldens(t *testing.T) {
 		{"collatz.mc", []int64{1000}, []int64{871, 178}},
 	}
 	for _, tc := range cases {
-		res, err := loadTestdata(t, tc.file).Run(alchemist.RunConfig{Input: tc.input})
+		res, err := eng.Run(ctx, loadTestdata(t, eng, tc.file), alchemist.RunConfig{Input: tc.input})
 		if err != nil {
 			t.Errorf("%s: %v", tc.file, err)
 			continue
@@ -55,6 +57,7 @@ func TestTestdataGoldens(t *testing.T) {
 // (its own assert enforces sortedness; we verify the checksum matches a
 // reference sort).
 func TestTestdataSort(t *testing.T) {
+	ctx, eng := context.Background(), alchemist.NewEngine()
 	input := make([]int64, 0, 500)
 	seed := int64(987654321)
 	for i := 0; i < 500; i++ {
@@ -64,7 +67,7 @@ func TestTestdataSort(t *testing.T) {
 		}
 		input = append(input, seed%100000)
 	}
-	res, err := loadTestdata(t, "sort.mc").Run(alchemist.RunConfig{Input: input})
+	res, err := eng.Run(ctx, loadTestdata(t, eng, "sort.mc"), alchemist.RunConfig{Input: input})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,16 +93,17 @@ func TestTestdataSort(t *testing.T) {
 // TestTestdataMatmulModes runs the spawn-annotated matmul in all three
 // execution modes and demands identical results.
 func TestTestdataMatmulModes(t *testing.T) {
+	ctx, eng := context.Background(), alchemist.NewEngine()
 	input := []int64{48}
-	seq, err := loadTestdata(t, "matmul.mc").Run(alchemist.RunConfig{Input: input})
+	seq, err := eng.Run(ctx, loadTestdata(t, eng, "matmul.mc"), alchemist.RunConfig{Input: input})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := loadTestdata(t, "matmul.mc").Run(alchemist.RunConfig{Input: input, SimWorkers: 4})
+	sim, err := eng.Run(ctx, loadTestdata(t, eng, "matmul.mc"), alchemist.RunConfig{Input: input, SimWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := loadTestdata(t, "matmul.mc").Run(alchemist.RunConfig{Input: input, Parallel: true})
+	par, err := eng.Run(ctx, loadTestdata(t, eng, "matmul.mc"), alchemist.RunConfig{Input: input, Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,8 @@ func TestTestdataMatmulModes(t *testing.T) {
 // detection: matmul's band() must be a future candidate, the sieve's
 // inner marking loop must not.
 func TestTestdataProfiles(t *testing.T) {
-	profile, _, err := loadTestdata(t, "matmul.mc").Profile(alchemist.ProfileConfig{
+	ctx, eng := context.Background(), alchemist.NewEngine()
+	profile, _, err := eng.Profile(ctx, loadTestdata(t, eng, "matmul.mc"), alchemist.ProfileConfig{
 		RunConfig: alchemist.RunConfig{Input: []int64{48}},
 	})
 	if err != nil {
@@ -138,7 +143,7 @@ func TestTestdataProfiles(t *testing.T) {
 		}
 	}
 
-	sieveProf, _, err := loadTestdata(t, "sieve.mc").Profile(alchemist.ProfileConfig{
+	sieveProf, _, err := eng.Profile(ctx, loadTestdata(t, eng, "sieve.mc"), alchemist.ProfileConfig{
 		RunConfig: alchemist.RunConfig{Input: []int64{2000}},
 	})
 	if err != nil {
