@@ -16,9 +16,11 @@
 package alchemist_test
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
+	"alchemist"
 	"alchemist/internal/bench"
 	"alchemist/internal/core"
 	"alchemist/internal/progs"
@@ -67,7 +69,7 @@ func BenchmarkFig2GzipProfile(b *testing.B) {
 	var prof *core.Profile
 	for i := 0; i < b.N; i++ {
 		var err error
-		prof, _, err = bench.RunProfiled(progs.Gzip(), benchScale)
+		prof, err = bench.RunProfiled(progs.Gzip(), benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,7 +161,7 @@ func BenchmarkDelaunayNegativeControl(b *testing.B) {
 	var prof *core.Profile
 	for i := 0; i < b.N; i++ {
 		var err error
-		prof, _, err = bench.RunProfiled(progs.Delaunay(), benchScale)
+		prof, err = bench.RunProfiled(progs.Delaunay(), benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +196,7 @@ func benchTable5(b *testing.B, w *progs.Workload) {
 	var row report.Table5Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		row, err = bench.Table5Bench(w, benchScale, 1)
+		row, err = bench.Table5Row(context.Background(), alchemist.NewEngine(), w, benchScale, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

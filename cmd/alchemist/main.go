@@ -8,7 +8,7 @@
 //	alchemist fig6      [-small]                            Fig. 6(a)-(d) scatter data
 //	alchemist table3    [-small]                            Table III (profiling cost)
 //	alchemist table4    [-small]                            Table IV (conflicts at parallelized spots)
-//	alchemist table5    [-small] [-runs N] [-jobs N]        Table V (speedups)
+//	alchemist table5    [-small] [-jobs N]                  Table V (speedups)
 //	alchemist run       (-w workload | -f file.mc) [-parallel] [-par-src]
 //	alchemist disasm    (-w workload | -f file.mc)
 //	alchemist serve     [-addr host:port] [flags]           HTTP profiling service
@@ -51,7 +51,6 @@ import (
 	"alchemist/internal/obs"
 	"alchemist/internal/progs"
 	"alchemist/internal/report"
-	"alchemist/internal/vm"
 )
 
 func main() {
@@ -104,7 +103,7 @@ commands:
   fig6      Fig. 6(a)-(d): size vs violating RAW deps for parallelized programs
   table3    Table III: LOC, construct counts, native vs profiled time
   table4    Table IV: conflict counts at the parallelized locations
-  table5    Table V: sequential vs parallel wall-clock and speedup
+  table5    Table V: sequential vs parallel virtual time and speedup
   run       execute a program (optionally the spawn/sync variant in parallel)
   disasm    dump compiled bytecode
   serve     HTTP profiling service: sync + async jobs, SSE progress, /metrics
@@ -449,8 +448,7 @@ func cmdTable4(args []string) error {
 func cmdTable5(args []string) error {
 	fs := flag.NewFlagSet("table5", flag.ExitOnError)
 	small := fs.Bool("small", false, "use small inputs")
-	runs := fs.Int("runs", 3, "timed runs per configuration (best kept)")
-	jobs := fs.Int("jobs", 1, "concurrent workload benchmarks (>1 skews wall-clock columns only)")
+	jobs := fs.Int("jobs", 1, "concurrent VM runs (the Engine's worker count)")
 	timeout := fs.Duration("timeout", 0, "abort after this duration (0 = none)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /metrics.json, /debug/pprof on this address (\":0\" picks a port)")
 	liveProgress := fs.Bool("progress", false, "render live per-run progress on stderr")
@@ -468,7 +466,8 @@ func cmdTable5(args []string) error {
 	stopProgress := startProgress(*liveProgress, progress)
 	ctx, cancel := newCtx(*timeout)
 	defer cancel()
-	rows, err := bench.Table5Ctx(ctx, bench.Scale{Small: *small, Metrics: vm.NewMetrics(reg), Progress: progress}, *runs, *jobs)
+	eng := alchemist.NewEngine(alchemist.WithWorkers(*jobs), alchemist.WithRegistry(reg))
+	rows, err := bench.Table5(ctx, eng, bench.Scale{Small: *small}, progress)
 	stopProgress()
 	if err != nil {
 		return err

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -155,4 +157,43 @@ func TestCLIErrors(t *testing.T) {
 	if !strings.Contains(out, "alchemist:") {
 		t.Errorf("error output: %s", out)
 	}
+}
+
+// TestCLIPaperTablesStdoutPinned pins the small-scale paper tables to
+// their known output: table4, fig6 and table5 byte for byte, and the
+// deterministic columns (Benchmark, LOC, Static, Dynamic) of table3,
+// whose timing columns vary run to run. table5 must not depend on -jobs.
+func TestCLIPaperTablesStdoutPinned(t *testing.T) {
+	stdout := func(args ...string) []byte {
+		t.Helper()
+		out, err := exec.Command(binary, args...).Output()
+		if err != nil {
+			t.Fatalf("alchemist %s: %v", strings.Join(args, " "), err)
+		}
+		return out
+	}
+	check := func(name string, out []byte, want string) {
+		t.Helper()
+		if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != want {
+			t.Errorf("%s: stdout sha256 %s, want %s\n%s", name, got, want, out)
+		}
+	}
+	check("table4 -small", stdout("table4", "-small"),
+		"80e565a337546932c70ee9c1d90a5789745071fcd1215f897722986952d44412")
+	check("fig6 -small", stdout("fig6", "-small"),
+		"4b8edf1034281d32b6739779203aed4d3c3ff04f45849659c94865fb1e399ee7")
+	for _, jobs := range []string{"1", "4"} {
+		check("table5 -small -jobs "+jobs, stdout("table5", "-small", "-jobs", jobs),
+			"8c4fbd9c0051820aafa160e281616d8b9d473c4873003dff840edf1ac9d38382")
+	}
+	var cols bytes.Buffer
+	for _, line := range strings.Split(strings.TrimSuffix(string(stdout("table3", "-small")), "\n"), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 {
+			t.Fatalf("table3 -small: short line %q", line)
+		}
+		fmt.Fprintln(&cols, strings.Join(f[:4], " "))
+	}
+	check("table3 -small (Benchmark, LOC, Static, Dynamic)", cols.Bytes(),
+		"e5952164d732a390af35fbecbf84e6fda49c3ba1719688638f343e41eb468c10")
 }

@@ -239,7 +239,7 @@ func TestCLIProfileProgressFlag(t *testing.T) {
 }
 
 func TestCLITable5ProgressFlag(t *testing.T) {
-	out := run(t, "table5", "-small", "-runs", "1", "-progress")
+	out := run(t, "table5", "-small", "-progress")
 	if !strings.Contains(out, "jobs done") {
 		t.Errorf("table5 -progress output lacks progress lines:\n%s", out)
 	}

@@ -10,18 +10,18 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
+	"alchemist"
 	"alchemist/internal/ast"
-	"alchemist/internal/compile"
 	"alchemist/internal/ir"
 	"alchemist/internal/parser"
 	"alchemist/internal/sema"
 	"alchemist/internal/source"
-	"alchemist/internal/vm"
 )
 
 func main() {
@@ -90,22 +90,20 @@ func cmdRun(name, src string, args []string) error {
 			input = append(input, v)
 		}
 	}
-	prog, err := compile.BuildConfig(name, src, compile.Config{Optimize: *optimize})
+	ctx := context.Background()
+	eng := alchemist.NewEngine()
+	prog, err := eng.CompileWith(ctx, name, src, alchemist.CompileOptions{Optimize: *optimize})
 	if err != nil {
 		return err
 	}
-	m, err := vm.New(prog, vm.Config{
+	res, err := eng.Run(ctx, prog, alchemist.RunConfig{
 		Input:      input,
 		Parallel:   *parallel,
 		SimWorkers: *workers,
 		MemWords:   *memWords,
 		StepLimit:  *steps,
-		Out:        os.Stdout,
+		Stdout:     os.Stdout,
 	})
-	if err != nil {
-		return err
-	}
-	res, err := m.Run()
 	if err != nil {
 		return err
 	}
@@ -135,10 +133,11 @@ func cmdCheck(name, src string) error {
 }
 
 func cmdDisasm(name, src string) error {
-	prog, err := compile.Build(name, src)
+	p, err := alchemist.NewEngine().Compile(context.Background(), name, src)
 	if err != nil {
 		return err
 	}
+	prog := p.IR()
 	fmt.Printf("globals: %d words; strings: %d\n", prog.GlobalWords, len(prog.Strings))
 	for _, f := range prog.Funcs {
 		fmt.Print(ir.Disassemble(f))

@@ -3,17 +3,18 @@
 // Table III (profiling cost and construct counts), Fig. 6(a)–(d) (profile
 // quality on previously-parallelized programs), Table IV (conflict counts
 // at the parallelized locations), and Table V (realized speedups of the
-// spawn/sync variants).
+// spawn/sync variants). Every experiment compiles, runs and profiles
+// through an alchemist.Engine; only the ablation helper Profile calls
+// the profiler core directly.
 package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"alchemist/internal/compile"
+	"alchemist"
 	"alchemist/internal/core"
 	"alchemist/internal/indexing"
 	"alchemist/internal/obs"
@@ -22,86 +23,65 @@ import (
 	"alchemist/internal/vm"
 )
 
-// Scale selects input sizes: 0 uses each workload's default (the paper
-// configuration); otherwise the workload-specific small scale times the
-// factor. It doubles as the harness run configuration: an optional
-// Metrics sink and Progress aggregate are threaded into every VM run
-// the harness performs.
+// Scale selects input sizes: each workload's default (the paper
+// configuration), or its small input.
 type Scale struct {
 	// Small uses each workload's SmallScale input (fast CI runs).
 	Small bool
-	// Metrics, when non-nil, receives the dispatch-loop counters of
-	// every VM run (native, profiled, and simulated), flushed once per
-	// run; resolve it from a registry with vm.NewMetrics.
-	Metrics *vm.Metrics
-	// Progress, when non-nil, receives live step counts: every VM run
-	// the harness performs allocates one job slot, reports into it via
-	// OnProgress, and marks it done on completion.
-	Progress *obs.Progress
 }
 
-func inputFor(w *progs.Workload, sc Scale) []int64 {
+// runConfig is the run configuration of workload w at scale sc.
+func runConfig(w *progs.Workload, sc Scale) alchemist.RunConfig {
+	scale := 0
 	if sc.Small {
-		return w.InputFor(w.SmallScale)
+		scale = w.SmallScale
 	}
-	return w.InputFor(0)
+	return alchemist.RunConfig{Input: w.InputFor(scale), MemWords: w.MemWords}
 }
 
-// vmConfig assembles one run's VM configuration, threading the optional
-// Metrics sink and Progress aggregate. The returned done function marks
-// the run's progress slot complete; call it once the run has finished.
-func (sc Scale) vmConfig(input []int64, memWords int64, simWorkers int) (vm.Config, func()) {
-	cfg := vm.Config{Input: input, MemWords: memWords, SimWorkers: simWorkers, Metrics: sc.Metrics}
-	if sc.Progress == nil {
-		return cfg, func() {}
-	}
-	slot := sc.Progress.AllocJob()
-	cfg.OnProgress = func(steps int64) { sc.Progress.Update(slot, steps) }
-	return cfg, func() { sc.Progress.MarkDone(slot) }
-}
-
-// RunNative executes the sequential workload without instrumentation and
-// returns the result with its wall-clock time.
-func RunNative(w *progs.Workload, sc Scale) (*vm.Result, time.Duration, error) {
-	prog, err := compile.Build(w.Name+".mc", w.Source)
+// RunProfiled compiles the workload on a fresh Engine and profiles it.
+func RunProfiled(w *progs.Workload, sc Scale) (*core.Profile, error) {
+	ctx := context.TODO()
+	eng := alchemist.NewEngine()
+	prog, err := eng.Compile(ctx, w.Name+".mc", w.Source)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	cfg, done := sc.vmConfig(inputFor(w, sc), w.MemWords, 0)
-	defer done()
-	start := time.Now()
-	res, err := core.RunProgram(prog, cfg)
-	return res, time.Since(start), err
+	prof, _, err := eng.Profile(ctx, prog, alchemist.ProfileConfig{RunConfig: runConfig(w, sc)})
+	return prof, err
 }
 
-// RunProfiled executes the workload under the profiler and returns the
-// profile with its wall-clock time.
-func RunProfiled(w *progs.Workload, sc Scale) (*core.Profile, time.Duration, error) {
-	cfg, done := sc.vmConfig(inputFor(w, sc), w.MemWords, 0)
-	defer done()
-	start := time.Now()
-	prof, _, err := core.ProfileSource(w.Name+".mc", w.Source, cfg, core.DefaultOptions())
-	return prof, time.Since(start), err
-}
-
-// Profile profiles the workload with explicit options (ablations).
+// Profile profiles the workload with explicit core options. The
+// ablations set options that ProfileConfig does not expose
+// (DisablePoolReuse), so this helper calls the profiler core directly.
 func Profile(w *progs.Workload, sc Scale, opts core.Options) (*core.Profile, error) {
-	cfg, done := sc.vmConfig(inputFor(w, sc), w.MemWords, 0)
-	defer done()
-	prof, _, err := core.ProfileSource(w.Name+".mc", w.Source, cfg, opts)
+	cfg := runConfig(w, sc)
+	prof, _, err := core.ProfileSource(w.Name+".mc", w.Source, vm.Config{Input: cfg.Input, MemWords: cfg.MemWords}, opts)
 	return prof, err
 }
 
 // ---------- Table III ----------
 
 // Table3Row measures one workload: LOC, static/dynamic construct counts,
-// and native vs profiled wall-clock.
+// and native vs profiled wall-clock. Both runs share one fresh Engine, so
+// each starts cold, and the program is compiled before either timer
+// starts.
 func Table3Row(w *progs.Workload, sc Scale) (report.Table3Row, error) {
-	_, orig, err := RunNative(w, sc)
+	ctx := context.TODO()
+	eng := alchemist.NewEngine()
+	prog, err := eng.Compile(ctx, w.Name+".mc", w.Source)
 	if err != nil {
+		return report.Table3Row{}, fmt.Errorf("%s: %w", w.Name, err)
+	}
+	cfg := runConfig(w, sc)
+	start := time.Now()
+	if _, err := eng.Run(ctx, prog, cfg); err != nil {
 		return report.Table3Row{}, fmt.Errorf("%s native: %w", w.Name, err)
 	}
-	prof, profT, err := RunProfiled(w, sc)
+	orig := time.Since(start)
+	start = time.Now()
+	prof, _, err := eng.Profile(ctx, prog, alchemist.ProfileConfig{RunConfig: cfg})
+	profT := time.Since(start)
 	if err != nil {
 		return report.Table3Row{}, fmt.Errorf("%s profiled: %w", w.Name, err)
 	}
@@ -167,7 +147,7 @@ type Fig6Result struct {
 // profile after removing the top loop construct and everything
 // parallelized along with it.
 func Fig6Gzip(sc Scale, top int) (a, b Fig6Result, _ *core.Profile, err error) {
-	prof, _, err := RunProfiled(progs.Gzip(), sc)
+	prof, err := RunProfiled(progs.Gzip(), sc)
 	if err != nil {
 		return a, b, nil, err
 	}
@@ -189,7 +169,7 @@ func Fig6Gzip(sc Scale, top int) (a, b Fig6Result, _ *core.Profile, err error) {
 
 // Fig6Parser computes panel (c).
 func Fig6Parser(sc Scale, top int) (Fig6Result, *core.Profile, error) {
-	prof, _, err := RunProfiled(progs.Parser(), sc)
+	prof, err := RunProfiled(progs.Parser(), sc)
 	if err != nil {
 		return Fig6Result{}, nil, err
 	}
@@ -198,7 +178,7 @@ func Fig6Parser(sc Scale, top int) (Fig6Result, *core.Profile, error) {
 
 // Fig6Lisp computes panel (d).
 func Fig6Lisp(sc Scale, top int) (Fig6Result, *core.Profile, error) {
-	prof, _, err := RunProfiled(progs.Lisp(), sc)
+	prof, err := RunProfiled(progs.Lisp(), sc)
 	if err != nil {
 		return Fig6Result{}, nil, err
 	}
@@ -213,7 +193,7 @@ func Table4(sc Scale) ([]report.Table4Row, error) {
 	var rows []report.Table4Row
 
 	// bzip2: the file loop in main and the block loop in compressStream.
-	bz, _, err := RunProfiled(progs.Bzip2(), sc)
+	bz, err := RunProfiled(progs.Bzip2(), sc)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +205,7 @@ func Table4(sc Scale) ([]report.Table4Row, error) {
 	}
 
 	// ogg: the file loop in main.
-	og, _, err := RunProfiled(progs.Ogg(), sc)
+	og, err := RunProfiled(progs.Ogg(), sc)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +214,7 @@ func Table4(sc Scale) ([]report.Table4Row, error) {
 	}
 
 	// aes: the encryption loop in main.
-	ae, _, err := RunProfiled(progs.AES(), sc)
+	ae, err := RunProfiled(progs.AES(), sc)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +224,7 @@ func Table4(sc Scale) ([]report.Table4Row, error) {
 
 	// par2: the block loop in process_data and the file loop in
 	// open_source_files.
-	p2, _, err := RunProfiled(progs.Par2(), sc)
+	p2, err := RunProfiled(progs.Par2(), sc)
 	if err != nil {
 		return nil, err
 	}
@@ -284,127 +264,71 @@ func aesMainLoop(p *core.Profile) *core.ConstructStat {
 // paper's 4-thread configurations on the 4-core Opteron.
 const Table5Workers = 4
 
-// Table5Bench compares one workload's sequential program against its
+// Table5Row compares one workload's sequential program against its
 // spawn/sync variant under the VM's deterministic virtual-time parallel
 // simulation: the speedup is the ratio of instruction-count makespans on
-// Table5Workers virtual workers. Wall-clock of both runs is recorded for
-// reference (on a multi-core host the Parallel goroutine mode can be
-// timed instead; the simulation keeps the experiment reproducible on any
-// machine).
-func Table5Bench(w *progs.Workload, sc Scale, runs int) (report.Table5Row, error) {
-	return Table5BenchCtx(context.Background(), w, sc, runs)
-}
-
-// Table5BenchCtx is Table5Bench under a context: cancellation aborts the
-// in-flight VM run within one step-check window.
-func Table5BenchCtx(ctx context.Context, w *progs.Workload, sc Scale, runs int) (report.Table5Row, error) {
+// Table5Workers virtual workers (on a multi-core host the Parallel
+// goroutine mode can be timed instead; the simulation keeps the
+// experiment reproducible on any machine). Each variant runs once, as a
+// one-job batch on eng's worker slots, and reports into its own slot of
+// progress (nil-safe).
+func Table5Row(ctx context.Context, eng *alchemist.Engine, w *progs.Workload, sc Scale, progress *obs.Progress) (report.Table5Row, error) {
 	if !w.HasParallel() {
 		return report.Table5Row{}, fmt.Errorf("%s has no parallel variant", w.Name)
 	}
-	if runs <= 0 {
-		runs = 1
-	}
-	input := inputFor(w, sc)
-	measure := func(name, src string, workers int) (*vm.Result, time.Duration, error) {
-		var bestD time.Duration
-		var res *vm.Result
-		for r := 0; r < runs; r++ {
-			p, err := compile.Build(name, src)
-			if err != nil {
-				return nil, 0, err
-			}
-			cfg, done := sc.vmConfig(input, w.MemWords, workers)
-			m, err := vm.New(p, cfg)
-			if err != nil {
-				done()
-				return nil, 0, err
-			}
-			start := time.Now()
-			res, err = m.RunCtx(ctx)
-			done()
-			if err != nil {
-				return nil, 0, err
-			}
-			if d := time.Since(start); bestD == 0 || d < bestD {
-				bestD = d
-			}
+	run := func(name, src string, workers int) (*alchemist.RunResult, error) {
+		prog, err := eng.Compile(ctx, name, src)
+		if err != nil {
+			return nil, err
 		}
-		return res, bestD, nil
+		slot := progress.AllocJob()
+		defer progress.MarkDone(slot)
+		cfg := runConfig(w, sc)
+		cfg.SimWorkers = workers
+		cfg.OnProgress = func(steps int64) { progress.Update(slot, steps) }
+		// The batch's error is its one job's, wrapped; report the job's.
+		res, _ := eng.RunBatch(ctx, prog, []alchemist.RunJob{{Config: &cfg}})
+		return res[0].Run, res[0].Err
 	}
-	seqRes, seqD, err := measure(w.Name+".mc", w.Source, 0)
+	seq, err := run(w.Name+".mc", w.Source, 0)
 	if err != nil {
 		return report.Table5Row{}, fmt.Errorf("%s sequential: %w", w.Name, err)
 	}
-	parRes, parD, err := measure(w.Name+"_par.mc", w.ParSource, Table5Workers)
+	par, err := run(w.Name+"_par.mc", w.ParSource, Table5Workers)
 	if err != nil {
 		return report.Table5Row{}, fmt.Errorf("%s parallel: %w", w.Name, err)
 	}
 	return report.Table5Row{
-		Benchmark:  w.Name,
-		Workers:    Table5Workers,
-		SeqSteps:   seqRes.VirtualSteps,
-		ParSteps:   parRes.VirtualSteps,
-		SeqSeconds: seqD.Seconds(),
-		ParSeconds: parD.Seconds(),
+		Benchmark: w.Name,
+		Workers:   Table5Workers,
+		SeqSteps:  seq.VirtualSteps,
+		ParSteps:  par.VirtualSteps,
 	}, nil
 }
 
 // Table5 measures every workload that has a parallel variant (bzip2, ogg,
-// par2, aes — the paper's Table V set).
-func Table5(sc Scale, runs int) ([]report.Table5Row, error) {
-	return Table5Ctx(context.Background(), sc, runs, 1)
-}
-
-// Table5Ctx measures the Table V workloads with up to jobs benchmarks in
-// flight at once, preserving the fixed row order. Concurrent jobs only
-// skew the wall-clock columns, not the instruction-count speedups
-// (VirtualSteps is deterministic), so jobs > 1 trades timing fidelity
-// for latency.
-func Table5Ctx(ctx context.Context, sc Scale, runs, jobs int) ([]report.Table5Row, error) {
+// par2, aes — the paper's Table V set), in that row order. The rows start
+// together and eng's worker slots bound how many runs execute at once;
+// VirtualSteps is deterministic, so the rows do not depend on that
+// bound. A failing row does not stop the others; the error is the first
+// failing row's.
+func Table5(ctx context.Context, eng *alchemist.Engine, sc Scale, progress *obs.Progress) ([]report.Table5Row, error) {
 	workloads := []*progs.Workload{progs.Bzip2(), progs.Ogg(), progs.Par2(), progs.AES()}
-	if jobs < 1 {
-		jobs = 1
-	}
-	// The first failure cancels the sibling benchmarks (each aborts
-	// within one VM step-check window) instead of letting them run to
-	// completion on doomed work.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	rows := make([]report.Table5Row, len(workloads))
 	errs := make([]error, len(workloads))
-	sem := make(chan struct{}, jobs)
 	var wg sync.WaitGroup
 	for i, w := range workloads {
 		wg.Add(1)
-		go func(i int, w *progs.Workload) {
+		go func() {
 			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			rows[i], errs[i] = Table5BenchCtx(ctx, w, sc, runs)
-			if errs[i] != nil {
-				cancel()
-			}
-		}(i, w)
+			rows[i], errs[i] = Table5Row(ctx, eng, w, sc, progress)
+		}()
 	}
 	wg.Wait()
-	// Report the first genuine failure, not a secondary cancellation it
-	// caused in a sibling.
-	var first error
 	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
+		if err != nil {
 			return nil, err
 		}
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	if first != nil {
-		return nil, first
 	}
 	return rows, nil
 }

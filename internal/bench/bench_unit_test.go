@@ -1,10 +1,13 @@
 package bench_test
 
 import (
+	"context"
 	"testing"
 
+	"alchemist"
 	"alchemist/internal/bench"
 	"alchemist/internal/core"
+	"alchemist/internal/obs"
 	"alchemist/internal/progs"
 )
 
@@ -198,7 +201,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	rows, err := bench.Table5(small, 1)
+	rows, err := bench.Table5(context.Background(), alchemist.NewEngine(), small, &obs.Progress{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +219,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestDelaunayNegativeControl(t *testing.T) {
-	prof, _, err := bench.RunProfiled(progs.Delaunay(), small)
+	prof, err := bench.RunProfiled(progs.Delaunay(), small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +236,7 @@ func TestDelaunayNegativeControl(t *testing.T) {
 }
 
 func TestLoopsInOrdering(t *testing.T) {
-	prof, _, err := bench.RunProfiled(progs.Gzip(), small)
+	prof, err := bench.RunProfiled(progs.Gzip(), small)
 	if err != nil {
 		t.Fatal(err)
 	}

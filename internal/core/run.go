@@ -38,18 +38,13 @@ func ProfileProgram(prog *ir.Program, vmCfg vm.Config, opts Options) (*Profile, 
 	return ProfileProgramCtx(context.Background(), prog, vmCfg, opts)
 }
 
-// ProfileSourceCtx compiles mini-C source text and profiles it under ctx.
-func ProfileSourceCtx(ctx context.Context, name, src string, vmCfg vm.Config, opts Options) (*Profile, *vm.Result, error) {
+// ProfileSource compiles mini-C source text and profiles it.
+func ProfileSource(name, src string, vmCfg vm.Config, opts Options) (*Profile, *vm.Result, error) {
 	prog, err := compile.Build(name, src)
 	if err != nil {
 		return nil, nil, err
 	}
-	return ProfileProgramCtx(ctx, prog, vmCfg, opts)
-}
-
-// ProfileSource compiles mini-C source text and profiles it.
-func ProfileSource(name, src string, vmCfg vm.Config, opts Options) (*Profile, *vm.Result, error) {
-	return ProfileSourceCtx(context.Background(), name, src, vmCfg, opts)
+	return ProfileProgram(prog, vmCfg, opts)
 }
 
 // RunProgramCtx executes prog without instrumentation (the Table III
@@ -61,9 +56,4 @@ func RunProgramCtx(ctx context.Context, prog *ir.Program, vmCfg vm.Config) (*vm.
 		return nil, err
 	}
 	return m.RunCtx(ctx)
-}
-
-// RunProgram is RunProgramCtx without cancellation.
-func RunProgram(prog *ir.Program, vmCfg vm.Config) (*vm.Result, error) {
-	return RunProgramCtx(context.Background(), prog, vmCfg)
 }

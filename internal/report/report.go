@@ -217,7 +217,8 @@ type Table3Row struct {
 	Static    int64
 	Dynamic   int64
 	// OrigSeconds and ProfSeconds are wall-clock times of the
-	// uninstrumented and profiled runs.
+	// uninstrumented and profiled runs, execution only: compilation is
+	// outside both.
 	OrigSeconds float64
 	ProfSeconds float64
 }
@@ -276,8 +277,8 @@ func WriteTable4(w io.Writer, rows []Table4Row) {
 // Table5Row reports a sequential-vs-parallel comparison (paper Table V).
 // Times are virtual (instruction-count makespans from the VM's
 // deterministic parallel simulation), which substitutes for the paper's
-// 4-core wall-clock measurements on machines without spare cores; the
-// wall-clock of both runs is reported alongside for reference.
+// 4-core wall-clock measurements on machines without spare cores, so
+// one run of each variant determines the row.
 type Table5Row struct {
 	Benchmark string
 	Workers   int
@@ -285,9 +286,6 @@ type Table5Row struct {
 	// the spawn/sync variant's virtual makespan on Workers workers.
 	SeqSteps int64
 	ParSteps int64
-	// SeqSeconds/ParSeconds are informational wall-clock times.
-	SeqSeconds float64
-	ParSeconds float64
 }
 
 // Speedup returns the virtual-time speedup SeqSteps/ParSteps.

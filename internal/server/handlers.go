@@ -267,7 +267,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSync serves POST /v1/profile, /v1/advise and /v1/run: authn →
-// rate → decode → admit → deadline → execute.
+// rate → decode → check → admit → deadline → execute.
 func (s *Server) handleSync(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		cl, ok := s.authn(w, r)
@@ -277,6 +277,13 @@ func (s *Server) handleSync(kind string) http.HandlerFunc {
 		req, err := decodeSync(r, kind)
 		if err != nil {
 			s.writeDecodeError(w, err)
+			return
+		}
+		// Check the source before admission, as POST /v1/jobs does, so an
+		// invalid body gets 400 even when the queue is full. execute
+		// checks again for journal-requeued jobs.
+		if _, _, _, err := req.check(); err != nil {
+			s.writeExecError(w, userErr(err))
 			return
 		}
 		timeout := s.timeoutFor(req.TimeoutMS)

@@ -15,6 +15,7 @@ import (
 
 	"alchemist"
 	"alchemist/internal/journal"
+	"alchemist/internal/xtrace"
 )
 
 // newDurableServer builds a journal-backed server over dir. The caller
@@ -515,5 +516,55 @@ func TestRecoveryAcrossSnapshots(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplayStateDedupsSnapshotOverlap: records appended while a
+// snapshot is being encoded can repeat entries the snapshot already
+// holds. Replay applies each event Seq and each SpanSeq exactly once.
+func TestReplayStateDedupsSnapshotOverlap(t *testing.T) {
+	ev := func(seq int) *Event { return &Event{Seq: seq, Type: "progress", Steps: int64(100 * (seq + 1))} }
+	span := func(name string) *xtrace.SpanRecord { return &xtrace.SpanRecord{Name: name} }
+	snap, err := json.Marshal(storeSnapshot{Jobs: []jobSnapshot{{
+		ID: "j1", Kind: "profile", State: JobRunning,
+		Events: []Event{*ev(0), *ev(1)},
+		Spans:  []xtrace.SpanRecord{*span("admit")},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &journal.Recovery{Snapshot: snap}
+	for _, r := range []walRecord{
+		{Type: recEvent, ID: "j1", Event: ev(1)},                 // already snapshotted
+		{Type: recSpan, ID: "j1", Span: span("admit")},           // already snapshotted
+		{Type: recEvent, ID: "j1", Event: ev(2)},                 // new
+		{Type: recSpan, ID: "j1", Span: span("run"), SpanSeq: 1}, // new
+	} {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Records = append(rec.Records, b)
+	}
+	jobs, err := replayState(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 {
+		t.Fatalf("replayed %d jobs, want 1", len(jobs))
+	}
+	var seqs []int
+	for _, e := range jobs[0].Events {
+		seqs = append(seqs, e.Seq)
+	}
+	if want := []int{0, 1, 2}; !reflect.DeepEqual(seqs, want) {
+		t.Errorf("event seqs = %v, want %v", seqs, want)
+	}
+	var names []string
+	for _, sp := range jobs[0].Spans {
+		names = append(names, sp.Name)
+	}
+	if want := []string{"admit", "run"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("spans = %v, want %v", names, want)
 	}
 }

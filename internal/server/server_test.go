@@ -419,6 +419,12 @@ func TestBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("job create under saturation = %d, want 429", resp.StatusCode)
 	}
+	// An invalid sync body is refused as invalid, not as saturated: the
+	// source is checked before admission, as on POST /v1/jobs.
+	resp, body = post(t, ts.URL+"/v1/profile", `{"workload":"gzip","scales":[-1]}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, `"code": "bad_request"`) {
+		t.Errorf("invalid profile under saturation = %d, want 400 bad_request: %s", resp.StatusCode, body)
+	}
 	if got := s.sm.rejects.Value(); got != 2 {
 		t.Errorf("rejects counter = %d, want 2", got)
 	}
