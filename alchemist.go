@@ -157,7 +157,7 @@ type ProfileConfig struct {
 	DisableWAR bool
 	DisableWAW bool
 	// ReaderSlots bounds the distinct reader PCs remembered per memory
-	// word (WAR recall vs. memory; default 4).
+	// word (WAR recall vs. memory; default 4, at most 255).
 	ReaderSlots int
 	// PoolPrealloc warms the construct pool (default 65536 nodes, taken
 	// from memory only as the run first uses them).

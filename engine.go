@@ -14,6 +14,7 @@ import (
 	"alchemist/internal/compile"
 	"alchemist/internal/core"
 	"alchemist/internal/obs"
+	"alchemist/internal/shadow"
 	"alchemist/internal/vm"
 	"alchemist/internal/xtrace"
 )
@@ -109,9 +110,11 @@ type Engine struct {
 	// ProfileEach and RunBatch calls on this Engine.
 	sem chan struct{}
 
-	// scratch recycles per-worker profiling buffers (shadow memory,
-	// construct pool) across batch jobs.
-	scratch sync.Pool
+	// free holds idle profiling scratch (shadow memory, construct pool)
+	// for the next job. It keeps at most Workers() of them, so what the
+	// Engine retains is bounded by the jobs it runs at once, and a
+	// garbage collection does not drop them.
+	free chan *core.Scratch
 
 	mu     sync.Mutex
 	cache  map[programKey]*list.Element
@@ -177,11 +180,11 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		jobWall: r.Histogram("alchemist_engine_job_wall_seconds",
 			"Wall-clock time of one batch profiling job.", nil),
 		scratchGets: r.Counter("alchemist_engine_scratch_gets_total",
-			"Profiling scratch buffers checked out of the worker pool."),
+			"Profiling scratch buffers checked out of the free list."),
 		scratchPuts: r.Counter("alchemist_engine_scratch_puts_total",
-			"Profiling scratch buffers returned to the worker pool."),
+			"Profiling scratch buffers returned to the free list."),
 		scratchNews: r.Counter("alchemist_engine_scratch_news_total",
-			"Profiling scratch buffers newly allocated by the pool."),
+			"Profiling scratch buffers newly allocated because the free list was empty."),
 		shadowLoads: r.Counter("alchemist_profile_shadow_loads_total",
 			"Shadow-memory read records across profiled runs."),
 		shadowStores: r.Counter("alchemist_profile_shadow_stores_total",
@@ -234,10 +237,7 @@ func NewEngine(opts ...Option) *Engine {
 	}
 	e.em = newEngineMetrics(e.reg)
 	e.vmm = vm.NewMetrics(e.reg)
-	e.scratch.New = func() any {
-		e.em.scratchNews.Inc()
-		return &core.Scratch{}
-	}
+	e.free = make(chan *core.Scratch, e.workers)
 	e.sem = make(chan struct{}, e.workers)
 	if e.cacheCap > 0 {
 		e.cache = make(map[programKey]*list.Element)
@@ -404,6 +404,9 @@ func (e *Engine) Profile(ctx context.Context, p *Program, cfg ProfileConfig) (*P
 	if cfg.Parallel || cfg.SimWorkers > 0 {
 		return nil, nil, ErrProfileNeedsSequential
 	}
+	if cfg.ReaderSlots > shadow.MaxReaderSlots {
+		return nil, nil, fmt.Errorf("alchemist: %d reader slots, at most %d", cfg.ReaderSlots, shadow.MaxReaderSlots)
+	}
 	opts := core.DefaultOptions()
 	opts.TrackWAR = !cfg.DisableWAR
 	opts.TrackWAW = !cfg.DisableWAW
@@ -451,14 +454,27 @@ type BatchResult struct {
 	Err error
 }
 
+// scratchGet takes an idle scratch off the free list, or makes one when
+// more profiles run at once than the list holds.
 func (e *Engine) scratchGet() *core.Scratch {
 	e.em.scratchGets.Inc()
-	return e.scratch.Get().(*core.Scratch)
+	select {
+	case sc := <-e.free:
+		return sc
+	default:
+		e.em.scratchNews.Inc()
+		return &core.Scratch{}
+	}
 }
 
+// scratchPut returns sc to the free list, or drops it when the list is
+// full.
 func (e *Engine) scratchPut(sc *core.Scratch) {
 	e.em.scratchPuts.Inc()
-	e.scratch.Put(sc)
+	select {
+	case e.free <- sc:
+	default:
+	}
 }
 
 // flushProfileStats folds one finished profile's shadow-memory and

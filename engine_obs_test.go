@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -191,8 +192,9 @@ func TestEngineMetricsEndpoint(t *testing.T) {
 }
 
 // TestEngineScratchAccounting: every batch job checks one scratch buffer
-// out and back in; the sync.Pool allocates at most one per concurrent
-// worker.
+// out and back in; the free list allocates at most one per concurrent
+// worker, and keeps them through garbage collections, so a later batch
+// allocates none.
 func TestEngineScratchAccounting(t *testing.T) {
 	ctx := context.Background()
 	const workers, jobCount = 2, 6
@@ -216,14 +218,47 @@ func TestEngineScratchAccounting(t *testing.T) {
 	if gets != jobCount || puts != jobCount {
 		t.Errorf("scratch gets = %d puts = %d, want both %d", gets, puts, jobCount)
 	}
-	if news < 1 || news > jobCount {
-		t.Errorf("scratch news = %d, want within [1, %d]", news, jobCount)
+	if news < 1 || news > workers {
+		t.Errorf("scratch news = %d, want within [1, %d]", news, workers)
 	}
 	if got := counter(reg, "alchemist_engine_jobs_total"); got != jobCount {
 		t.Errorf("jobs = %d, want %d", got, jobCount)
 	}
 	if got := counter(reg, "alchemist_profile_pool_allocated_total"); got <= 0 {
 		t.Errorf("pool allocated = %d, want > 0", got)
+	}
+
+	// Hold one job on every worker at once, so the free list fills.
+	long, err := eng.Compile(ctx, "long.mc",
+		`int main() { int s = 0; for (int i = 0; i < 30000; i++) { s += in(i % inlen()); } out(s); return 0; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived sync.WaitGroup
+	arrived.Add(workers)
+	held := make([]alchemist.ProfileJob, workers)
+	for i := range held {
+		var once sync.Once
+		held[i] = alchemist.ProfileJob{Input: []int64{1}, Config: &alchemist.ProfileConfig{
+			RunConfig: alchemist.RunConfig{OnProgress: func(int64) {
+				once.Do(func() { arrived.Done(); arrived.Wait() })
+			}},
+		}}
+	}
+	if _, _, err := eng.ProfileBatch(ctx, long, held); err != nil {
+		t.Fatal(err)
+	}
+	if news = counter(reg, "alchemist_engine_scratch_news_total"); news != workers {
+		t.Fatalf("scratch news = %d after %d jobs at once, want %d", news, workers, workers)
+	}
+
+	runtime.GC()
+	runtime.GC()
+	if _, _, err := eng.ProfileBatch(ctx, prog, jobs); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter(reg, "alchemist_engine_scratch_news_total"); got != news {
+		t.Errorf("scratch news = %d after two GCs and another batch, want still %d", got, news)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -308,6 +310,39 @@ func TestProfileRejectsParallel(t *testing.T) {
 		if _, _, err := eng.Profile(ctx, prog, cfg); !errors.Is(err, alchemist.ErrProfileNeedsSequential) {
 			t.Errorf("Profile(%+v) err = %v, want ErrProfileNeedsSequential", cfg, err)
 		}
+	}
+}
+
+// TestProfileReaderSlotsBound: a word's reader count is 8 bits wide, so
+// Profile refuses more than 255 reader slots before it takes scratch,
+// rather than wrapping the count and losing WAR heads; 255 keeps every
+// reader.
+func TestProfileReaderSlotsBound(t *testing.T) {
+	ctx, eng := context.Background(), alchemist.NewEngine()
+	var src strings.Builder
+	src.WriteString("int v;\nint s;\nvoid readv() {\n")
+	for i := 0; i < 255; i++ {
+		fmt.Fprintf(&src, "\ts = v + %d;\n", i)
+	}
+	src.WriteString("}\nint main() {\n\tfor (int i = 0; i < 3; i++) { readv(); v = i; }\n\treturn 0;\n}\n")
+	prog, err := eng.Compile(ctx, "readers.mc", src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, slots := range []int{256, 300} {
+		if _, _, err := eng.Profile(ctx, prog, alchemist.ProfileConfig{ReaderSlots: slots}); err == nil {
+			t.Errorf("Profile with %d reader slots succeeded, want an error", slots)
+		}
+	}
+	if gets := counter(eng.Metrics(), "alchemist_engine_scratch_gets_total"); gets != 0 {
+		t.Errorf("refused profiles took scratch %d times", gets)
+	}
+	prof, _, err := eng.Profile(ctx, prog, alchemist.ProfileConfig{ReaderSlots: 255})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if war := prof.ConstructForFunc("readv").CountEdges(alchemist.WAR); war != 255 {
+		t.Errorf("255 slots: %d WAR edges out of readv, want 255", war)
 	}
 }
 

@@ -55,6 +55,7 @@ func Merge(profiles ...*Profile) (*Profile, error) {
 		merged.Shadow.Stores += p.Shadow.Stores
 		merged.Shadow.EvictedReaders += p.Shadow.EvictedReaders
 		merged.Shadow.PagesAllocated += p.Shadow.PagesAllocated
+		merged.Shadow.Bytes += p.Shadow.Bytes
 		for k, v := range p.NestDirect {
 			merged.NestDirect[k] += v
 		}

@@ -70,6 +70,9 @@ func TestMergeUnionsEdges(t *testing.T) {
 	if m.TotalSteps != p0.TotalSteps+p1.TotalSteps {
 		t.Error("TotalSteps not summed")
 	}
+	if m.Shadow.Bytes == 0 || m.Shadow.Bytes != p0.Shadow.Bytes+p1.Shadow.Bytes {
+		t.Errorf("shadow bytes %d, want %d + %d", m.Shadow.Bytes, p0.Shadow.Bytes, p1.Shadow.Bytes)
+	}
 	w0 := p0.ConstructForFunc("work")
 	w1 := p1.ConstructForFunc("work")
 	wm := m.ConstructForFunc("work")

@@ -9,7 +9,8 @@ import (
 // churn — the shadow memory and the construct pool — so back-to-back
 // profiling runs (the Engine batch path) can recycle them instead of
 // reallocating tens of megabytes per job. A Scratch may be used by at
-// most one profiler at a time; pool them (sync.Pool) for concurrency.
+// most one profiler at a time; for concurrency keep one per concurrent
+// run (the Engine keeps a free list of at most Workers() of them).
 // The zero value is ready: buffers are created on first use and replaced
 // whenever a run's geometry (memory extent, reader slots) is
 // incompatible with the retained ones.

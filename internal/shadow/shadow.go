@@ -8,9 +8,20 @@
 // recall for memory; the slot count is configurable and ablated in the
 // benchmark suite. Shadow pages are allocated lazily so untouched memory
 // costs nothing.
+//
+// Most words never hold a second reader between writes, so a page keeps
+// only the last write and reader slot 0 of each word inline, 36 bytes a
+// word with the per-word meta. A word's slots 1..K-1 live in its page's
+// overflow block, which the word is given the first time it holds a
+// second distinct reader PC.
 package shadow
 
-import "alchemist/internal/indexing"
+import (
+	"fmt"
+	"unsafe"
+
+	"alchemist/internal/indexing"
+)
 
 // Access describes one memory access: which instruction performed it,
 // when, and inside which construct instance. It holds no pointers, so
@@ -27,21 +38,58 @@ type Access struct {
 // tracked between writes.
 const DefaultReaderSlots = 4
 
+// MaxReaderSlots is the largest per-word reader bound: a word's reader
+// count is an 8-bit field of its meta.
+const MaxReaderSlots = 255
+
 // pageWords is the shadow page granule.
 const pageWords = 4096
 
+// A word's meta packs its reader count (bits 0-7), whether it was
+// written (bit 8), and, from bit 9 up, one more than the offset of its
+// slots 1..K-1 in the page's overflow, 0 while it has none.
+const (
+	countMask  = 1<<8 - 1
+	written    = 1 << 8
+	blockShift = 9
+)
+
+// page is the inline part of a page: one pointer-free object.
 type page struct {
-	writes   []Access // len pageWords
-	hasWrite []bool
-	readers  []Access // len pageWords*K, K slots per word
-	nReaders []uint8
+	writes [pageWords]Access // last write of each word
+	first  [pageWords]Access // reader slot 0 of each word
+	meta   [pageWords]uint32
+}
+
+// pageBytes is what one page costs, overflow aside: 36 bytes a word.
+const pageBytes = int64(unsafe.Sizeof(page{}))
+
+// firstBlocks is the number of overflow blocks a page's overflow starts
+// with. It quadruples when full, so the page's 4096 words fit after at
+// most four allocations: a page takes five objects at most.
+const firstBlocks = 64
+
+// pageRef is the directory entry of one page of the shadowed extent;
+// the page itself is allocated when a run first touches it.
+type pageRef struct {
+	p *page
+	// ovf holds the page's overflow blocks, K-1 slots each, in the order
+	// the words were given them; len counts the blocks given this run.
+	ovf []Access
+	// run is the run that last cleared p.meta; a page is cleared when a
+	// run first touches it.
+	run uint64
 }
 
 // Memory is the shadow memory for one profiled execution. It is not safe
 // for concurrent use; profiling is sequential by design.
 type Memory struct {
-	pages []*page
-	k     int
+	// pages is the page directory, nPages long once the first access
+	// has made it; a run that never touches memory allocates none.
+	pages  []pageRef
+	nPages int64
+	k      int
+	run    uint64
 
 	// scratch reuses one slice for Store's reader report.
 	scratch []Access
@@ -50,6 +98,7 @@ type Memory struct {
 	loads, stores   int64
 	evictedReaders  int64
 	pagesAllocated  int64
+	bytes           int64
 	droppedOutRange int64
 }
 
@@ -59,46 +108,50 @@ type Stats struct {
 	EvictedReaders int64
 	PagesAllocated int64
 	OutOfRange     int64
+	// Bytes is the shadow storage the run allocated: pages plus overflow
+	// blocks. Like PagesAllocated, it does not count storage retained
+	// from an earlier run.
+	Bytes int64
 }
 
 // New creates shadow memory covering memWords of flat memory, tracking up
 // to readerSlots distinct reader PCs per word (0 means
-// DefaultReaderSlots).
+// DefaultReaderSlots). It panics if readerSlots exceeds MaxReaderSlots.
 func New(memWords int64, readerSlots int) *Memory {
 	if readerSlots <= 0 {
 		readerSlots = DefaultReaderSlots
 	}
-	nPages := (memWords + pageWords - 1) / pageWords
+	if readerSlots > MaxReaderSlots {
+		panic(fmt.Sprintf("shadow: %d reader slots, at most %d", readerSlots, MaxReaderSlots))
+	}
 	return &Memory{
-		pages:   make([]*page, nPages),
+		nPages:  (memWords + pageWords - 1) / pageWords,
 		k:       readerSlots,
+		run:     1,
 		scratch: make([]Access, 0, readerSlots),
 	}
 }
 
 // Words returns the flat-memory extent this shadow covers, and Slots the
 // per-word reader bound; both identify compatible reuses via Reset.
-func (m *Memory) Words() int64 { return int64(len(m.pages)) * pageWords }
+func (m *Memory) Words() int64 { return m.nPages * pageWords }
 
 // Slots returns the per-word reader-PC bound.
 func (m *Memory) Slots() int { return m.k }
 
-// Reset clears every recorded access so the Memory can shadow a fresh
+// Reset forgets every recorded access so the Memory can shadow a fresh
 // run, keeping the already-allocated pages (the point of reuse: batch
-// jobs of the same program touch the same pages). Counters restart at
-// zero; retained pages are not re-counted in PagesAllocated, so per-run
-// stats only report allocations the run itself caused.
+// jobs of the same program touch the same pages). It takes constant
+// time: the run counter moves on, and a page is cleared when the next
+// run first touches it. Counters restart at zero; retained pages are not
+// re-counted in PagesAllocated or Bytes, so per-run stats only report
+// allocations the run itself caused.
 func (m *Memory) Reset() {
-	for _, p := range m.pages {
-		if p == nil {
-			continue
-		}
-		clear(p.hasWrite)
-		clear(p.nReaders)
-	}
+	m.run++
 	m.loads, m.stores = 0, 0
 	m.evictedReaders = 0
 	m.pagesAllocated = 0
+	m.bytes = 0
 	m.droppedOutRange = 0
 }
 
@@ -109,94 +162,158 @@ func (m *Memory) Stats() Stats {
 		EvictedReaders: m.evictedReaders,
 		PagesAllocated: m.pagesAllocated,
 		OutOfRange:     m.droppedOutRange,
+		Bytes:          m.bytes,
 	}
 }
 
-func (m *Memory) pageFor(addr int64) (*page, int64) {
-	if addr < 0 {
+// pageFor returns the entry of the page holding addr and addr's offset
+// in it, if the page is ready for this run; nil otherwise, and then the
+// caller asks ready. Kept free of calls, pageFor inlines into Load and
+// Store.
+func (m *Memory) pageFor(addr int64) (*pageRef, int64) {
+	pi := uint64(addr) / pageWords // a negative addr wraps past the end
+	if pi >= uint64(len(m.pages)) || m.pages[pi].run != m.run {
 		return nil, 0
 	}
-	pi := addr / pageWords
-	if pi >= int64(len(m.pages)) {
+	return &m.pages[pi], int64(uint64(addr) % pageWords)
+}
+
+// ready is pageFor's slow path. It makes the page directory on the
+// first access, allocates a page on its first touch ever, and clears a
+// page an earlier run left behind. It returns nil when addr is outside
+// the shadowed extent.
+func (m *Memory) ready(addr int64) (*pageRef, int64) {
+	pi := uint64(addr) / pageWords
+	if pi >= uint64(m.nPages) {
 		return nil, 0
 	}
-	p := m.pages[pi]
-	if p == nil {
-		p = &page{
-			writes:   make([]Access, pageWords),
-			hasWrite: make([]bool, pageWords),
-			readers:  make([]Access, pageWords*int64(m.k)),
-			nReaders: make([]uint8, pageWords),
-		}
-		m.pages[pi] = p
+	if m.pages == nil {
+		m.pages = make([]pageRef, m.nPages)
+	}
+	r := &m.pages[pi]
+	if r.p == nil {
+		r.p = new(page)
 		m.pagesAllocated++
+		m.bytes += pageBytes
+	} else {
+		clear(r.p.meta[:])
+		r.ovf = r.ovf[:0]
 	}
-	return p, addr % pageWords
+	r.run = m.run
+	return r, int64(uint64(addr) % pageWords)
 }
 
 // Load records a read of addr and returns the last write to addr, which
 // is the head of a RAW dependence ending at this read.
 func (m *Memory) Load(addr int64, pc int32, time int64, node *indexing.Construct) (raw Access, hasRAW bool) {
 	m.loads++
-	p, off := m.pageFor(addr)
-	if p == nil {
-		m.droppedOutRange++
-		return Access{}, false
+	r, off := m.pageFor(addr)
+	if r == nil {
+		if r, off = m.ready(addr); r == nil {
+			m.droppedOutRange++
+			return Access{}, false
+		}
 	}
 	// Record the reader: update an existing slot with the same PC, use a
 	// free slot, or evict the stalest entry.
-	base := off * int64(m.k)
-	n := int64(p.nReaders[off])
-	slot := int64(-1)
-	for i := int64(0); i < n; i++ {
-		if p.readers[base+i].PC == pc {
-			slot = base + i
-			break
-		}
+	p := r.p
+	rec := Access{Time: time, Node: node.Index(), PC: pc}
+	meta := p.meta[off]
+	switch {
+	case meta&countMask == 0:
+		p.first[off] = rec
+		p.meta[off] = meta + 1
+	case p.first[off].PC == pc:
+		p.first[off] = rec
+	default:
+		m.addReader(r, off, rec)
 	}
-	if slot < 0 {
-		if n < int64(m.k) {
-			slot = base + n
-			p.nReaders[off]++
-		} else {
-			oldest := base
-			for i := int64(1); i < n; i++ {
-				if p.readers[base+i].Time < p.readers[oldest].Time {
-					oldest = base + i
-				}
-			}
-			slot = oldest
-			m.evictedReaders++
-		}
-	}
-	p.readers[slot] = Access{Time: time, Node: node.Index(), PC: pc}
-
-	if p.hasWrite[off] {
+	if meta&written != 0 {
 		return p.writes[off], true
 	}
 	return Access{}, false
 }
 
+// addReader records rec in a word whose slot 0 holds another PC: it
+// updates the slot with rec's PC, else takes the next free slot, else
+// evicts the stalest of all K slots, the lowest slot on a tie. With
+// K > 1 the word is given its overflow block here, when it first needs
+// slot 1.
+func (m *Memory) addReader(r *pageRef, off int64, rec Access) {
+	p := r.p
+	meta := p.meta[off]
+	n := int(meta & countMask)
+	var more []Access // slots 1..K-1
+	if m.k > 1 {
+		if meta>>blockShift == 0 {
+			meta |= uint32(len(r.ovf)+1) << blockShift
+			p.meta[off] = meta
+			m.growOverflow(r)
+		}
+		o := int(meta>>blockShift) - 1
+		more = r.ovf[o : o+m.k-1]
+	}
+	for i := range more[:n-1] {
+		if more[i].PC == rec.PC {
+			more[i] = rec
+			return
+		}
+	}
+	if n < m.k {
+		more[n-1] = rec
+		p.meta[off] = meta + 1
+		return
+	}
+	m.evictedReaders++
+	oldest := &p.first[off]
+	for i := range more {
+		if more[i].Time < oldest.Time {
+			oldest = &more[i]
+		}
+	}
+	*oldest = rec
+}
+
+// growOverflow appends one block to r's page overflow, quadrupling the
+// overflow's storage when it is full.
+func (m *Memory) growOverflow(r *pageRef) {
+	n := len(r.ovf) + m.k - 1
+	if n > cap(r.ovf) {
+		grown := make([]Access, n, max(4*cap(r.ovf), firstBlocks*(m.k-1)))
+		copy(grown, r.ovf)
+		r.ovf = grown
+		m.bytes += int64(cap(grown)) * int64(unsafe.Sizeof(Access{}))
+	}
+	r.ovf = r.ovf[:n]
+}
+
 // Store records a write of addr. It returns the previous write (the head
 // of a WAW dependence) and the reads performed since that write (the
-// heads of WAR dependences). The returned reader slice is only valid
-// until the next call on this Memory.
+// heads of WAR dependences), in slot order. The returned reader slice is
+// only valid until the next call on this Memory.
 func (m *Memory) Store(addr int64, pc int32, time int64, node *indexing.Construct) (prev Access, hadPrev bool, readers []Access) {
 	m.stores++
-	p, off := m.pageFor(addr)
-	if p == nil {
-		m.droppedOutRange++
-		return Access{}, false, nil
+	r, off := m.pageFor(addr)
+	if r == nil {
+		if r, off = m.ready(addr); r == nil {
+			m.droppedOutRange++
+			return Access{}, false, nil
+		}
 	}
-	prev, hadPrev = p.writes[off], p.hasWrite[off]
-	base := off * int64(m.k)
-	n := int64(p.nReaders[off])
-	m.scratch = m.scratch[:0]
-	for i := int64(0); i < n; i++ {
-		m.scratch = append(m.scratch, p.readers[base+i])
+	p := r.p
+	meta := p.meta[off]
+	prev, hadPrev = p.writes[off], meta&written != 0
+	readers = m.scratch[:0]
+	if n := int(meta & countMask); n > 0 {
+		readers = append(readers, p.first[off])
+		if n > 1 {
+			o := int(meta>>blockShift) - 1
+			for _, a := range r.ovf[o : o+n-1] {
+				readers = append(readers, a)
+			}
+		}
 	}
-	p.nReaders[off] = 0
+	p.meta[off] = meta&^countMask | written
 	p.writes[off] = Access{Time: time, Node: node.Index(), PC: pc}
-	p.hasWrite[off] = true
-	return prev, hadPrev, m.scratch
+	return prev, hadPrev, readers
 }
