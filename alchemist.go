@@ -100,6 +100,9 @@ type RunConfig struct {
 	// with "out of memory". Sequential runs, profiled or not, grow their
 	// memory to what the program allocates, so a large cap costs nothing
 	// until it is used; Parallel runs allocate the whole cap up front.
+	// The Engine keeps a sequential run's memory in an idle scratch for
+	// the next run or profile, so after a job that used the whole cap an
+	// idle Engine still holds 8 bytes a word of it, once per scratch.
 	MemWords int64
 	// StepLimit aborts runaway sequential programs (0 = off).
 	StepLimit int64

@@ -110,10 +110,10 @@ type Engine struct {
 	// ProfileEach and RunBatch calls on this Engine.
 	sem chan struct{}
 
-	// free holds idle profiling scratch (shadow memory, construct pool)
-	// for the next job. It keeps at most Workers() of them, so what the
-	// Engine retains is bounded by the jobs it runs at once, and a
-	// garbage collection does not drop them.
+	// free holds idle scratch (VM memory, shadow memory, construct
+	// pool) for the next run or profile. It keeps at most Workers() of
+	// them, so what the Engine retains is bounded by the jobs it runs at
+	// once, and a garbage collection does not drop them.
 	free chan *core.Scratch
 
 	mu     sync.Mutex
@@ -144,6 +144,7 @@ type engineMetrics struct {
 	scratchGets *obs.Counter
 	scratchPuts *obs.Counter
 	scratchNews *obs.Counter
+	scratchIdle *obs.Gauge
 
 	shadowLoads   *obs.Counter
 	shadowStores  *obs.Counter
@@ -180,11 +181,13 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		jobWall: r.Histogram("alchemist_engine_job_wall_seconds",
 			"Wall-clock time of one batch profiling job.", nil),
 		scratchGets: r.Counter("alchemist_engine_scratch_gets_total",
-			"Profiling scratch buffers checked out of the free list."),
+			"Scratch buffers checked out of the free list by sequential runs and profiles."),
 		scratchPuts: r.Counter("alchemist_engine_scratch_puts_total",
-			"Profiling scratch buffers returned to the free list."),
+			"Scratch buffers returned to the free list by sequential runs and profiles."),
 		scratchNews: r.Counter("alchemist_engine_scratch_news_total",
-			"Profiling scratch buffers newly allocated because the free list was empty."),
+			"Scratch buffers newly made because the free list was empty."),
+		scratchIdle: r.Gauge("alchemist_engine_scratch_idle_bytes",
+			"Bytes held by idle scratch buffers on the free list: VM memory, shadow memory and construct pool."),
 		shadowLoads: r.Counter("alchemist_profile_shadow_loads_total",
 			"Shadow-memory read records across profiled runs."),
 		shadowStores: r.Counter("alchemist_profile_shadow_stores_total",
@@ -392,9 +395,16 @@ func (e *Engine) insertLocked(key programKey, prog *Program) {
 // Run executes p without instrumentation under ctx. Cancellation is
 // observed by every interpreter goroutine within one VM step-check
 // window (vm.CancelCheckInterval instructions); the error is then
-// ctx.Err().
+// ctx.Err(). A sequential run keeps its VM memory in a scratch from the
+// free list Profile uses; a Parallel run allocates its whole memory cap
+// and takes none.
 func (e *Engine) Run(ctx context.Context, p *Program, cfg RunConfig) (*RunResult, error) {
-	return core.RunProgramCtx(ctx, p.ir, cfg.vmConfig(e.vmm))
+	var sc *core.Scratch
+	if !cfg.Parallel {
+		sc = e.scratchGet()
+		defer e.scratchPut(sc)
+	}
+	return core.RunProgramCtx(ctx, p.ir, cfg.vmConfig(e.vmm), sc)
 }
 
 // Profile executes p sequentially under the profiler under ctx, observing
@@ -455,11 +465,12 @@ type BatchResult struct {
 }
 
 // scratchGet takes an idle scratch off the free list, or makes one when
-// more profiles run at once than the list holds.
+// more runs and profiles run at once than the list holds.
 func (e *Engine) scratchGet() *core.Scratch {
 	e.em.scratchGets.Inc()
 	select {
 	case sc := <-e.free:
+		e.em.scratchIdle.Add(-sc.Bytes())
 		return sc
 	default:
 		e.em.scratchNews.Inc()
@@ -468,11 +479,13 @@ func (e *Engine) scratchGet() *core.Scratch {
 }
 
 // scratchPut returns sc to the free list, or drops it when the list is
-// full.
+// full. Its size is read first: once listed, another job may take it.
 func (e *Engine) scratchPut(sc *core.Scratch) {
 	e.em.scratchPuts.Inc()
+	held := sc.Bytes()
 	select {
 	case e.free <- sc:
+		e.em.scratchIdle.Add(held)
 	default:
 	}
 }

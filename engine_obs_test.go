@@ -27,6 +27,11 @@ func counter(r *obs.Registry, name string) int64 {
 	return r.Counter(name, "").Value()
 }
 
+// gauge reads a registry gauge by name, like counter.
+func gauge(r *obs.Registry, name string) int64 {
+	return r.Gauge(name, "").Value()
+}
+
 // TestEngineSingleflight: a thundering herd on one cold source costs one
 // compile; everyone else hits the cache or coalesces onto the in-flight
 // compile. The invariant compiles + hits + coalesced == lookups holds
@@ -191,10 +196,10 @@ func TestEngineMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestEngineScratchAccounting: every batch job checks one scratch buffer
-// out and back in; the free list allocates at most one per concurrent
-// worker, and keeps them through garbage collections, so a later batch
-// allocates none.
+// TestEngineScratchAccounting: every batch job and every sequential run
+// checks one scratch buffer out and back in; the free list allocates at
+// most one per concurrent worker, and keeps them through garbage
+// collections, so a later batch allocates none.
 func TestEngineScratchAccounting(t *testing.T) {
 	ctx := context.Background()
 	const workers, jobCount = 2, 6
@@ -228,6 +233,29 @@ func TestEngineScratchAccounting(t *testing.T) {
 		t.Errorf("pool allocated = %d, want > 0", got)
 	}
 
+	// Runs keep their VM memory in the same scratches; a Parallel run
+	// takes none.
+	runs := make([]alchemist.RunJob, jobCount)
+	for i := range runs {
+		runs[i] = alchemist.RunJob{Input: []int64{int64(i)}}
+	}
+	if _, err := eng.RunBatch(ctx, prog, runs); err != nil {
+		t.Fatal(err)
+	}
+	for _, parallel := range []bool{false, true} {
+		if _, err := eng.Run(ctx, prog, alchemist.RunConfig{Input: []int64{3}, Parallel: parallel}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gets = counter(reg, "alchemist_engine_scratch_gets_total")
+	puts = counter(reg, "alchemist_engine_scratch_puts_total")
+	if want := int64(2*jobCount + 1); gets != want || puts != want {
+		t.Errorf("after a RunBatch and two Runs: scratch gets = %d puts = %d, want both %d", gets, puts, want)
+	}
+	if got := counter(reg, "alchemist_engine_scratch_news_total"); got != news {
+		t.Errorf("runs made scratch: news = %d, was %d", got, news)
+	}
+
 	// Hold one job on every worker at once, so the free list fills.
 	long, err := eng.Compile(ctx, "long.mc",
 		`int main() { int s = 0; for (int i = 0; i < 30000; i++) { s += in(i % inlen()); } out(s); return 0; }`)
@@ -259,6 +287,54 @@ func TestEngineScratchAccounting(t *testing.T) {
 	}
 	if got := counter(reg, "alchemist_engine_scratch_news_total"); got != news {
 		t.Errorf("scratch news = %d after two GCs and another batch, want still %d", got, news)
+	}
+}
+
+// TestEngineScratchIdleBytes: alchemist_engine_scratch_idle_bytes counts
+// what idle scratches hold, VM memory included, and a Parallel run
+// neither takes scratch memory nor leaves any behind.
+func TestEngineScratchIdleBytes(t *testing.T) {
+	ctx := context.Background()
+	eng := alchemist.NewEngine(alchemist.WithWorkers(1))
+	reg := eng.Metrics()
+	const idle = "alchemist_engine_scratch_idle_bytes"
+	if got := gauge(reg, idle); got != 0 {
+		t.Fatalf("%s = %d before any job, want 0", idle, got)
+	}
+	prog, err := eng.Compile(ctx, "big.mc", bigGlobalSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := alchemist.RunConfig{Input: []int64{5}, MemWords: 1 << 21}
+	prof, _, err := eng.Profile(ctx, prog, alchemist.ProfileConfig{RunConfig: rc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := gauge(reg, idle)
+	if want := 8<<20 + prof.Shadow.Bytes; held < want {
+		t.Errorf("%s = %d after profiling a 2^20-word program, want at least %d (VM words plus %d shadow bytes)",
+			idle, held, want, prof.Shadow.Bytes)
+	}
+
+	gets := counter(reg, "alchemist_engine_scratch_gets_total")
+	rc.Parallel = true
+	if _, err := eng.Run(ctx, prog, rc); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge(reg, idle); got != held {
+		t.Errorf("%s = %d after a Parallel run, was %d", idle, got, held)
+	}
+	if got := counter(reg, "alchemist_engine_scratch_gets_total"); got != gets {
+		t.Errorf("a Parallel run took scratch: gets %d, was %d", got, gets)
+	}
+
+	// The memory is still there for the next sequential run.
+	rc.Parallel = false
+	if _, err := eng.Run(ctx, prog, rc); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge(reg, idle); got != held {
+		t.Errorf("%s = %d after a sequential run of the same program, was %d", idle, got, held)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -440,6 +442,148 @@ int main() {
 		}
 		if !bytes.Equal(gotJSON, wantJSON) {
 			t.Errorf("PoolPrealloc %d after %d: profile JSON differs from a fresh engine's", order[1], order[0])
+		}
+	}
+
+	// The VM memory is recycled too. A fills a large array and local and
+	// allocated memory with non-zero words; B lays its globals out
+	// differently and sums memory it never wrote, which must read zero
+	// on a warm Engine as on a fresh one.
+	const srcA = `
+int pad;
+int big[50000];
+int main() {
+	int a[3000];
+	int b[] = alloc(20000);
+	for (int i = 0; i < 50000; i++) big[i] = i * 7 + 1;
+	for (int i = 0; i < 3000; i++) a[i] = -i - 1;
+	for (int i = 0; i < 20000; i++) b[i] = i | 1;
+	out(big[49999] + a[2999] + b[19999]);
+	return 0;
+}`
+	const srcB = `
+int x;
+int y[1000];
+int z;
+int sum(int n) {
+	int l[500];
+	int s = 0;
+	for (int i = 0; i < n; i++) s += l[i] * (i + 1);
+	l[0] = s + 1;
+	return s + l[0];
+}
+int main() {
+	int s = x + z;
+	for (int i = 0; i < 1000; i++) s += y[i] * (i + 1);
+	int b[] = alloc(30000);
+	for (int i = 0; i < 30000; i++) s += b[i];
+	for (int k = 1; k <= 60; k++) s += sum(k * 8);
+	for (int i = 0; i < 1000; i++) y[i] = s + i;
+	out(s);
+	out(y[999]);
+	return s;
+}`
+	fresh := func() *alchemist.Engine { return alchemist.NewEngine(alchemist.WithWorkers(1)) }
+	compile := func(eng *alchemist.Engine, name, src string) *alchemist.Program {
+		t.Helper()
+		p, err := eng.Compile(ctx, name, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	run := func(eng *alchemist.Engine, p *alchemist.Program) *alchemist.RunResult {
+		t.Helper()
+		res, err := eng.Run(ctx, p, alchemist.RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	profileJSON := func(eng *alchemist.Engine, p *alchemist.Program) (*alchemist.RunResult, []byte) {
+		t.Helper()
+		prof, res, err := eng.Profile(ctx, p, alchemist.ProfileConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := alchemist.WriteJSON(&buf, prof); err != nil {
+			t.Fatal(err)
+		}
+		return res, buf.Bytes()
+	}
+	// The references run first on fresh Engines, so on fresh memory.
+	e1, e2 := fresh(), fresh()
+	want := run(e1, compile(e1, "b.mc", srcB))
+	_, wantJSON := profileJSON(e2, compile(e2, "b.mc", srcB))
+	// Unwritten memory reads zero, so only the 60 sum calls add 1 each.
+	if want.Output[0] != 60 {
+		t.Fatalf("fresh engine: B outputs %v, want 60", want.Output)
+	}
+
+	warm := fresh()
+	a := compile(warm, "a.mc", srcA)
+	run(warm, a)
+	profileJSON(warm, a)
+	b := compile(warm, "b.mc", srcB)
+	gotRun := run(warm, b)
+	gotProfiled, gotJSON := profileJSON(warm, b)
+	for _, c := range []struct {
+		name string
+		got  *alchemist.RunResult
+	}{{"Run", gotRun}, {"Profile", gotProfiled}} {
+		if !slices.Equal(c.got.Output, want.Output) || c.got.Ret != want.Ret || c.got.Steps != want.Steps {
+			t.Errorf("warm %s of B after A = %+v, fresh engine %+v", c.name, c.got, want)
+		}
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Error("warm Profile of B after A: profile JSON differs from a fresh engine's")
+	}
+}
+
+// bigGlobalSrc has a global array of 2^20 words (8 MiB) and touches two
+// of its words.
+const bigGlobalSrc = `
+int g[1048576];
+int main() {
+	g[0] = in(0);
+	g[1048575] = g[0] + 1;
+	out(g[0] + g[1048575]);
+	return 0;
+}`
+
+// TestWarmEngineReusesVMMemory: on a warm Engine a run or profile of a
+// program with a 2^20-word global segment takes its VM memory from the
+// scratch instead of allocating 8 MiB.
+func TestWarmEngineReusesVMMemory(t *testing.T) {
+	ctx := context.Background()
+	eng := alchemist.NewEngine(alchemist.WithWorkers(1))
+	prog, err := eng.Compile(ctx, "big.mc", bigGlobalSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := alchemist.RunConfig{Input: []int64{20}}
+	calls := []struct {
+		name string
+		fn   func() error
+	}{
+		{"Run", func() error { _, err := eng.Run(ctx, prog, rc); return err }},
+		{"Profile", func() error { _, _, err := eng.Profile(ctx, prog, alchemist.ProfileConfig{RunConfig: rc}); return err }},
+	}
+	for _, c := range calls {
+		if err := c.fn(); err != nil { // warm-up
+			t.Fatal(err)
+		}
+	}
+	for _, c := range calls {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := c.fn(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("warm %s allocated %d bytes, want under 1 MiB", c.name, got)
 		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 // ProfileProgramCtx runs prog sequentially under the profiler and returns
 // the dependence profile together with the VM result. Cancelling ctx
 // aborts the run within one VM step-check window; the error is then
-// ctx.Err().
+// ctx.Err(). With opts.Scratch set, the VM's memory comes from the
+// Scratch too.
 func ProfileProgramCtx(ctx context.Context, prog *ir.Program, vmCfg vm.Config, opts Options) (*Profile, *vm.Result, error) {
 	if vmCfg.MemWords == 0 {
 		vmCfg.MemWords = vm.DefaultMemWords
@@ -22,11 +23,7 @@ func ProfileProgramCtx(ctx context.Context, prog *ir.Program, vmCfg vm.Config, o
 	prof := NewProfiler(prog, opts.MemWords, opts)
 	vmCfg.Parallel = false
 	vmCfg.Tracer = prof
-	m, err := vm.New(prog, vmCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := m.RunCtx(ctx)
+	res, err := runVM(ctx, prog, vmCfg, opts.Scratch)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -48,12 +45,29 @@ func ProfileSource(name, src string, vmCfg vm.Config, opts Options) (*Profile, *
 }
 
 // RunProgramCtx executes prog without instrumentation (the Table III
-// "Orig." configuration) under ctx.
-func RunProgramCtx(ctx context.Context, prog *ir.Program, vmCfg vm.Config) (*vm.Result, error) {
+// "Orig." configuration) under ctx. A sequential or SimWorkers run
+// keeps its memory in sc when sc is non-nil, as a profiled run does; a
+// Parallel run allocates its whole memory cap and leaves sc untouched.
+func RunProgramCtx(ctx context.Context, prog *ir.Program, vmCfg vm.Config, sc *Scratch) (*vm.Result, error) {
 	vmCfg.Tracer = nil
+	return runVM(ctx, prog, vmCfg, sc)
+}
+
+// runVM runs prog once under ctx. Unless the run is Parallel, the VM
+// takes sc's memory buffer, when sc is non-nil, and sc keeps the buffer
+// the run ends with, whether or not the run succeeds.
+func runVM(ctx context.Context, prog *ir.Program, vmCfg vm.Config, sc *Scratch) (*vm.Result, error) {
+	keep := sc != nil && !vmCfg.Parallel
+	if keep {
+		vmCfg.Mem = sc.mem
+	}
 	m, err := vm.New(prog, vmCfg)
 	if err != nil {
 		return nil, err
 	}
-	return m.RunCtx(ctx)
+	res, err := m.RunCtx(ctx)
+	if keep {
+		sc.mem = m.Mem()
+	}
+	return res, err
 }

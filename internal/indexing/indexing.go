@@ -12,7 +12,10 @@
 // the profile (paper Theorem 1).
 package indexing
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Kind classifies a construct.
 type Kind uint8
@@ -161,6 +164,13 @@ func (p *Pool) Reset(prealloc int) {
 	p.spare = max(prealloc, 0)
 	p.head, p.count = 0, 0
 	p.stats = PoolStats{Allocated: int64(p.spare)}
+}
+
+// Held returns the bytes of storage the pool holds, whichever runs
+// allocated it: the slab chunks and the release ring.
+func (p *Pool) Held() int64 {
+	return int64(len(p.chunks))*int64(unsafe.Sizeof([1 << chunkBits]Construct{})) +
+		int64(cap(p.ring))*int64(unsafe.Sizeof(int32(0)))
 }
 
 // Live returns the number of nodes currently sitting in the pool.

@@ -43,7 +43,7 @@ func newDurableServer(t *testing.T, dir string, mod func(*Options)) (*Server, *h
 // before the crash point is all a restart gets to see.
 func crash(t *testing.T, s *Server, ts *httptest.Server) {
 	t.Helper()
-	s.wal.disabled.Store(true)
+	s.wal.kill()
 	ts.Close()
 	s.Close()
 }
@@ -566,5 +566,81 @@ func TestReplayStateDedupsSnapshotOverlap(t *testing.T) {
 	}
 	if want := []string{"admit", "run"}; !reflect.DeepEqual(names, want) {
 		t.Errorf("spans = %v, want %v", names, want)
+	}
+}
+
+// TestKillDropsInFlightSnapshot: a journal snapshot that is encoding the
+// store when Kill runs must not commit the job cancellations Kill
+// causes; a process killed at that instant never writes them. The test
+// parks a snapshot between StartSnapshot and its encoding (by holding
+// the store lock), kills the server, lets the cancelled job fail, and
+// only then lets the snapshot encode it. An extra jobWG count keeps Kill
+// from closing the journal before the snapshot is done.
+func TestKillDropsInFlightSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newDurableServer(t, dir, func(o *Options) {
+		o.Engine = alchemist.NewEngine(alchemist.WithWorkers(1))
+		o.SnapshotEvery = -1 // no snapshot but the test's
+	})
+	resp, body := post(t, ts.URL+"/v1/jobs",
+		fmt.Sprintf(`{"kind":"run","source":%q,"timeout_ms":60000}`, foreverSrc))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
+	}
+	var st JobStatus
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, ts.URL, st.ID)
+	j := s.store.get(st.ID)
+
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	segments := func() int {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, e := range ents {
+			if strings.HasPrefix(e.Name(), "wal-") {
+				n++
+			}
+		}
+		return n
+	}
+
+	before := segments()
+	s.jobWG.Add(1)
+	s.store.mu.Lock()
+	snapped := make(chan struct{})
+	go func() {
+		s.wal.snapshot()
+		close(snapped)
+	}()
+	// StartSnapshot rotates the journal: the snapshot has passed its
+	// first check and waits for the store.
+	waitFor("the snapshot to start", func() bool { return segments() > before })
+	killed := make(chan error, 1)
+	go func() { killed <- s.Kill() }()
+	waitFor("the killed job to fail", j.isTerminal)
+	s.store.mu.Unlock()
+	<-snapped
+	s.jobWG.Done()
+	if err := <-killed; err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+
+	s2, ts2 := newDurableServer(t, dir, nil)
+	defer func() { ts2.Close(); s2.Close() }()
+	if rec := s2.Recovery(); rec.Jobs != 1 || rec.Interrupted != 1 {
+		t.Fatalf("recovery = %+v, want the job that was running at the kill recovered as interrupted", rec)
 	}
 }

@@ -195,13 +195,21 @@ func TestResilienceKillRestartConvergence(t *testing.T) {
 	defer cancel()
 
 	// With one worker, the blocker pins the engine so the target is
-	// deterministically non-terminal (queued) when the server dies.
+	// deterministically non-terminal (queued) when the server dies. The
+	// target is submitted only once the blocker holds the worker, or it
+	// could take the worker first and finish before the kill.
 	if _, err := c.SubmitJob(ctx, client.JobRequest{
 		Kind:       "run",
 		SourceSpec: client.SourceSpec{Name: "blocker", Source: foreverSrc},
 		TimeoutMS:  1500,
 	}); err != nil {
 		t.Fatal(err)
+	}
+	inflight := s1.eng.Metrics().Gauge("alchemist_engine_inflight_jobs", "")
+	for deadline := time.Now().Add(30 * time.Second); inflight.Value() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the blocker never took the engine's worker")
+		}
 	}
 	target, err := c.SubmitJob(ctx, client.JobRequest{
 		Kind:       "run",

@@ -620,9 +620,7 @@ func (s *Server) Close() error {
 // (goroutines, file handles) are still reclaimed; the Engine survives
 // for reuse.
 func (s *Server) Kill() error {
-	if s.wal != nil {
-		s.wal.disabled.Store(true)
-	}
+	s.wal.kill()
 	s.mu.Lock()
 	s.draining = true
 	httpSrv := s.httpSrv

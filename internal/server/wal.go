@@ -88,9 +88,24 @@ type walWriter struct {
 
 	appends  atomic.Int64
 	snapping atomic.Bool
-	// disabled simulates a hard kill in tests: appends stop reaching
-	// the journal, as if the process had already died.
+	// disabled simulates a hard kill (Server.Kill): appends stop
+	// reaching the journal, as if the process had already died. kill
+	// sets it under killMu, which a snapshot holds from its last check
+	// of disabled through its commit.
 	disabled atomic.Bool
+	killMu   sync.Mutex
+}
+
+// kill stops the journal the way a crash would. Once it returns, no
+// record and no snapshot of store state changed after it reaches the
+// disk.
+func (w *walWriter) kill() {
+	if w == nil {
+		return
+	}
+	w.killMu.Lock()
+	w.disabled.Store(true)
+	w.killMu.Unlock()
 }
 
 func (w *walWriter) append(rec walRecord) {
@@ -130,6 +145,15 @@ func (w *walWriter) snapshot() {
 	payload, err := json.Marshal(w.store.snapshot())
 	if err != nil {
 		w.errs()
+		return
+	}
+	// A kill since the check above may have changed what was encoded
+	// (Kill cancels every job), and a killed process never writes that
+	// state. Finding disabled unset under killMu means the encoding
+	// happened before the kill.
+	w.killMu.Lock()
+	defer w.killMu.Unlock()
+	if w.disabled.Load() {
 		return
 	}
 	if err := w.jn.FinishSnapshot(tok, payload); err != nil {

@@ -100,6 +100,10 @@ type Memory struct {
 	pagesAllocated  int64
 	bytes           int64
 	droppedOutRange int64
+
+	// held is the storage the Memory holds across runs: the page
+	// directory, pages and overflow capacity.
+	held int64
 }
 
 // Stats reports shadow counters for ablation and diagnostics.
@@ -155,6 +159,10 @@ func (m *Memory) Reset() {
 	m.droppedOutRange = 0
 }
 
+// Held returns the bytes of storage the Memory holds, whichever runs
+// allocated it: the page directory, pages and overflow blocks.
+func (m *Memory) Held() int64 { return m.held }
+
 // Stats returns a snapshot of the counters.
 func (m *Memory) Stats() Stats {
 	return Stats{
@@ -189,12 +197,14 @@ func (m *Memory) ready(addr int64) (*pageRef, int64) {
 	}
 	if m.pages == nil {
 		m.pages = make([]pageRef, m.nPages)
+		m.held += m.nPages * int64(unsafe.Sizeof(pageRef{}))
 	}
 	r := &m.pages[pi]
 	if r.p == nil {
 		r.p = new(page)
 		m.pagesAllocated++
 		m.bytes += pageBytes
+		m.held += pageBytes
 	} else {
 		clear(r.p.meta[:])
 		r.ovf = r.ovf[:0]
@@ -281,8 +291,10 @@ func (m *Memory) growOverflow(r *pageRef) {
 	if n > cap(r.ovf) {
 		grown := make([]Access, n, max(4*cap(r.ovf), firstBlocks*(m.k-1)))
 		copy(grown, r.ovf)
+		size := int64(unsafe.Sizeof(Access{}))
+		m.bytes += int64(cap(grown)) * size
+		m.held += int64(cap(grown)-cap(r.ovf)) * size
 		r.ovf = grown
-		m.bytes += int64(cap(grown)) * int64(unsafe.Sizeof(Access{}))
 	}
 	r.ovf = r.ovf[:n]
 }

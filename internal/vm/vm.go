@@ -71,6 +71,14 @@ type Config struct {
 	// program allocates, so a run pays only for the words it can
 	// address; Parallel runs allocate the whole cap up front.
 	MemWords int64
+	// Mem, when its capacity covers the global segment, is the buffer a
+	// sequential or SimWorkers run keeps its flat memory in, so a caller
+	// running programs back to back can recycle one buffer (VM.Mem
+	// returns it after the run). Its contents do not matter: the run
+	// clears the globals and then each range alloc extends into, and
+	// grows into a fresh slice only past the buffer's capacity. The
+	// capacity never raises MemWords. Parallel runs ignore Mem.
+	Mem []int64
 	// StepLimit aborts runaway programs (sequential mode only; 0 = off).
 	StepLimit int64
 	// Input is the read-only input stream served by the in()/inlen()
@@ -140,9 +148,10 @@ type VM struct {
 	cfg  Config
 
 	// mem is the flat memory. Every address a program can form lies
-	// below allocNext, so sequential and simulated runs keep mem just
-	// long enough for that (alloc grows it); Parallel runs, whose
-	// goroutines share mem without locks, allocate MemWords up front.
+	// below allocNext, so sequential and simulated runs keep mem exactly
+	// that long (alloc extends it, within its capacity when it can);
+	// Parallel runs, whose goroutines share mem without locks, allocate
+	// MemWords up front.
 	mem       []int64
 	allocNext int64
 
@@ -189,14 +198,21 @@ func New(p *ir.Program, cfg Config) (*VM, error) {
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
 	}
-	memLen := p.GlobalWords
-	if cfg.Parallel {
-		memLen = cfg.MemWords
+	var mem []int64
+	switch {
+	case cfg.Parallel:
+		mem = make([]int64, cfg.MemWords)
+	case int64(cap(cfg.Mem)) >= p.GlobalWords:
+		mem = cfg.Mem[:p.GlobalWords]
+		clear(mem)
+	default:
+		mem = make([]int64, p.GlobalWords)
 	}
+	cfg.Mem = nil // the run owns the buffer; do not pin it past a growth
 	vm := &VM{
 		prog:      p,
 		cfg:       cfg,
-		mem:       make([]int64, memLen),
+		mem:       mem,
 		allocNext: p.GlobalWords,
 		input:     cfg.Input,
 		out:       cfg.Out,
@@ -212,9 +228,10 @@ func New(p *ir.Program, cfg Config) (*VM, error) {
 	return vm, nil
 }
 
-// Mem exposes the flat memory for harness-level inspection after a run.
-// It covers every word the run allocated (globals included) and, after a
-// Parallel run, the whole MemWords cap; it may be shorter than MemWords.
+// Mem exposes the flat memory after a run, for inspection or as the
+// Config.Mem of a later run. It covers exactly the words the run
+// allocated (globals included), or after a Parallel run the whole
+// MemWords cap; its capacity may be larger.
 func (vm *VM) Mem() []int64 { return vm.mem }
 
 // GlobalValue returns the value of the named global scalar, for tests and
@@ -474,10 +491,17 @@ func (vm *VM) alloc(n int64, in *ir.Instr) (ir.ArrayRef, error) {
 	}
 	if end := base + n; end > int64(len(vm.mem)) {
 		// Parallel runs never get here: their memory starts at the cap.
-		// Doubling keeps the copying linear in the final size.
-		grown := make([]int64, min(max(2*int64(len(vm.mem)), end), vm.cfg.MemWords))
-		copy(grown, vm.mem)
-		vm.mem = grown
+		// Within the capacity the new range is cleared, since a recycled
+		// buffer holds an earlier run's words; past it, doubling keeps the
+		// copying linear in the final size.
+		if end <= int64(cap(vm.mem)) {
+			vm.mem = vm.mem[:end]
+			clear(vm.mem[base:])
+		} else {
+			grown := make([]int64, end, min(max(2*int64(cap(vm.mem)), end), vm.cfg.MemWords))
+			copy(grown, vm.mem)
+			vm.mem = grown
+		}
 	}
 	return ir.MakeArrayRef(base, n), nil
 }

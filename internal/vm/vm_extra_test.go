@@ -53,7 +53,8 @@ int main() {
 	}
 
 	// The trap fires exactly at MemWords, however the memory is kept: an
-	// allocation filling the cap succeeds and one word more traps.
+	// allocation filling the cap succeeds and one word more traps. A
+	// recycled buffer larger than the cap does not raise it.
 	prog, err = compile.Build("t.mc", `
 int g[10];
 int main() {
@@ -66,7 +67,10 @@ int main() {
 	}
 	const capWords = 5000
 	fits := capWords - prog.GlobalWords
-	for _, cfg := range []vm.Config{{}, {SimWorkers: 2}, {Parallel: true}} {
+	for _, cfg := range []vm.Config{
+		{}, {SimWorkers: 2}, {Parallel: true},
+		{Mem: dirtyBuffer(3 * capWords)}, {SimWorkers: 2, Mem: dirtyBuffer(3 * capWords)},
+	} {
 		cfg.MemWords = capWords
 		for _, n := range []int64{fits, fits + 1} {
 			cfg.Input = []int64{n}
@@ -76,10 +80,10 @@ int main() {
 			}
 			res, err := m.Run()
 			if n == fits && (err != nil || res.Ret != 7) {
-				t.Errorf("%+v: alloc(%d) filling the cap: res %+v, err %v", cfg, n, res, err)
+				t.Errorf("SimWorkers %d, Parallel %v, buffer %d: alloc(%d) filling the cap: res %+v, err %v", cfg.SimWorkers, cfg.Parallel, cap(cfg.Mem), n, res, err)
 			}
 			if n > fits && (err == nil || !strings.Contains(err.Error(), "out of memory")) {
-				t.Errorf("%+v: alloc(%d) past the cap: err = %v", cfg, n, err)
+				t.Errorf("SimWorkers %d, Parallel %v, buffer %d: alloc(%d) past the cap: err = %v", cfg.SimWorkers, cfg.Parallel, cap(cfg.Mem), n, err)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"slices"
 	"testing"
 
 	"alchemist/internal/compile"
@@ -131,5 +132,130 @@ int main() {
 		if n, n4 := allocs(1000), allocs(4000); n != n4 {
 			t.Errorf("SimWorkers %d: %v allocations with 3000 calls, %v with 12000", cfg.SimWorkers, n, n4)
 		}
+	}
+}
+
+// dirtyBuffer returns a buffer of capWords words, every one of them
+// non-zero, as an earlier run might leave it.
+func dirtyBuffer(capWords int) []int64 {
+	buf := make([]int64, capWords)
+	for i := range buf {
+		buf[i] = int64(i)*0x9e3779b9 | 1
+	}
+	return buf[:capWords/3]
+}
+
+// TestDirtyBufferMatchesFresh: a sequential or simulated run on a
+// recycled buffer full of non-zero words reads zeros wherever a fresh
+// run does, so output, return value and steps match a run on fresh
+// memory. The buffer's capacity exceeds what the run needs, once even
+// MemWords; the grow program allocates within the capacity first and
+// past it after.
+func TestDirtyBufferMatchesFresh(t *testing.T) {
+	cases := []struct {
+		name  string
+		src   string
+		input []int64
+	}{
+		{"uninitialized globals", `
+int g[300];
+int x;
+int main() {
+	int s = x;
+	for (int i = 0; i < 300; i++) s += g[i] * (i + 1);
+	out(s);
+	g[7] = s + 5;
+	x = g[7];
+	out(x);
+	return g[299] + 3;
+}`, nil},
+		{"local array", `
+int sum(int n) {
+	int a[50];
+	int s = 0;
+	for (int i = 0; i < n; i++) s += a[i];
+	a[n - 1] = n;
+	return s + a[n - 1];
+}
+int main() {
+	int t = 0;
+	for (int k = 1; k <= 40; k++) t += sum(k);
+	out(t);
+	return sum(50);
+}`, nil},
+		{"alloc grows", `
+int g[10];
+int main() {
+	int total = 0;
+	for (int k = 0; k < in(0); k++) {
+		int a[] = alloc(in(1) << k);
+		int s = 0;
+		for (int j = 0; j < len(a); j++) s += a[j];
+		for (int j = 0; j < len(a); j++) a[j] = j + k;
+		for (int j = 0; j < len(a); j++) s += a[j];
+		total += s;
+		g[k] = s;
+	}
+	out(total);
+	return g[0] + g[9];
+}`, []int64{10, 100}},
+	}
+	const memWords = 150_000
+	for _, c := range cases {
+		prog, err := compile.Build("dirty.mc", c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sim := range []int{0, 2} {
+			cfg := vm.Config{Input: c.input, MemWords: memWords, SimWorkers: sim}
+			want := run(t, c.src, cfg)
+			for _, capWords := range []int{5_000, 120_000, 2 * memWords} {
+				buf := dirtyBuffer(capWords)
+				cfg.Mem = buf
+				m, err := vm.New(prog, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := m.Run()
+				if err != nil {
+					t.Fatalf("%s, SimWorkers %d, capacity %d: %v", c.name, sim, capWords, err)
+				}
+				if !slices.Equal(got.Output, want.Output) || got.Ret != want.Ret || got.Steps != want.Steps {
+					t.Errorf("%s, SimWorkers %d, capacity %d: output %v ret %d steps %d, fresh memory gives %v %d %d",
+						c.name, sim, capWords, got.Output, got.Ret, got.Steps, want.Output, want.Ret, want.Steps)
+				}
+				mem := m.Mem()
+				if used := len(mem); used <= capWords && &mem[:1][0] != &buf[:1][0] {
+					t.Errorf("%s, capacity %d: a run of %d words did not keep its memory in the buffer", c.name, capWords, used)
+				}
+				if used := len(mem); used > capWords && cap(mem) > memWords {
+					t.Errorf("%s, capacity %d: memory grew to %d words, past MemWords %d", c.name, capWords, cap(mem), memWords)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelIgnoresBuffer: a Parallel run allocates its whole cap and
+// leaves a buffer passed in Config.Mem untouched.
+func TestParallelIgnoresBuffer(t *testing.T) {
+	prog, err := compile.Build("grow.mc", growSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := dirtyBuffer(300_000)
+	before := slices.Clone(buf[:cap(buf)])
+	m, err := vm.New(prog, vm.Config{Parallel: true, Mem: buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Mem()) != vm.DefaultMemWords || &m.Mem()[0] == &buf[:1][0] {
+		t.Errorf("Parallel run kept its memory in the buffer (%d words)", len(m.Mem()))
+	}
+	if !slices.Equal(buf[:cap(buf)], before) {
+		t.Error("Parallel run wrote to the buffer passed in Config.Mem")
 	}
 }
