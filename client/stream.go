@@ -150,8 +150,10 @@ func (es *EventStream) connect(ctx context.Context) error {
 		return decodeError(resp, body)
 	}
 	es.body = resp.Body
+	// An event is one short JSON line: the scanner starts at its small
+	// default buffer and grows only for a long line, up to 1 MiB.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	es.scanner = sc
 	return nil
 }

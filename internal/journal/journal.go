@@ -28,11 +28,13 @@
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -118,7 +120,7 @@ type Recovery struct {
 
 const (
 	frameHeader = 8        // 4-byte length + 4-byte CRC
-	maxRecord   = 64 << 20 // sanity bound; larger lengths are treated as corruption
+	maxRecord   = 64 << 20 // sanity bound on a segment record; larger lengths are treated as corruption
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -319,14 +321,16 @@ func readFrame(b []byte) (int, []byte) {
 }
 
 // readSnapshot loads a snapshot file, reporting whether it holds one
-// intact frame.
+// intact frame. The file's size bounds the frame, so unlike a segment
+// record a snapshot may be larger than maxRecord.
 func readSnapshot(path string) ([]byte, bool) {
 	data, err := os.ReadFile(path)
-	if err != nil {
+	if err != nil || len(data) < frameHeader {
 		return nil, false
 	}
-	n, payload := readFrame(data)
-	if n == 0 || n != len(data) {
+	payload := data[frameHeader:]
+	if int(binary.LittleEndian.Uint32(data)) != len(payload) ||
+		crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:]) {
 		return nil, false
 	}
 	return payload, true
@@ -341,6 +345,22 @@ func (j *Journal) appendFrame(payload []byte) []byte {
 	j.buf = append(j.buf, hdr[:]...)
 	j.buf = append(j.buf, payload...)
 	return j.buf
+}
+
+// writeFrame writes one frame of the given payload size and checksum,
+// the payload being the concatenation of parts, through a fixed-size
+// buffer: many small parts cost few writes, and a large one is written
+// from where it lies.
+func writeFrame(f *os.File, size int, sum uint32, parts [][]byte) error {
+	w := bufio.NewWriterSize(f, 64<<10)
+	var hdr [frameHeader]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(size))
+	binary.LittleEndian.PutUint32(hdr[4:], sum)
+	w.Write(hdr[:])
+	for _, p := range parts {
+		w.Write(p)
+	}
+	return w.Flush()
 }
 
 // Append writes one record. Under SyncAlways it is durable when Append
@@ -454,8 +474,8 @@ type SnapshotToken struct {
 // segments the compaction will keep. The intended sequence is
 //
 //	tok, err := j.StartSnapshot()
-//	payload := encodeState()          // may run concurrently with appends
-//	err = j.FinishSnapshot(tok, payload)
+//	parts := encodeState()            // may run concurrently with appends
+//	err = j.FinishSnapshot(tok, parts...)
 //
 // which requires replay to tolerate records that are both reflected in
 // the snapshot and present after it (append-only state machines with
@@ -474,9 +494,13 @@ func (j *Journal) StartSnapshot() (SnapshotToken, error) {
 	return tok, nil
 }
 
-// FinishSnapshot durably writes the snapshot payload under the token's
-// generation and compacts away every segment and snapshot below it.
-func (j *Journal) FinishSnapshot(tok SnapshotToken, payload []byte) error {
+// FinishSnapshot durably writes the snapshot payload, the
+// concatenation of parts, under the token's generation and compacts
+// away every segment and snapshot below it. The frame header and the
+// parts go straight to the snapshot file: the journal only reads the
+// parts and keeps no copy of the payload, so a caller may pass
+// encodings it goes on holding.
+func (j *Journal) FinishSnapshot(tok SnapshotToken, parts ...[]byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -484,6 +508,15 @@ func (j *Journal) FinishSnapshot(tok SnapshotToken, payload []byte) error {
 	}
 	if tok.gen == 0 || tok.gen <= j.snapGen {
 		return fmt.Errorf("journal: stale snapshot token (gen %d, newest snapshot %d)", tok.gen, j.snapGen)
+	}
+	var size int
+	var sum uint32
+	for _, p := range parts {
+		size += len(p)
+		sum = crc32.Update(sum, castagnoli, p)
+	}
+	if size > math.MaxUint32 {
+		return fmt.Errorf("journal: snapshot of %d bytes exceeds the 4 GiB frame limit", size)
 	}
 
 	// tmp + fsync + rename + dir fsync: the snapshot is either fully
@@ -494,8 +527,7 @@ func (j *Journal) FinishSnapshot(tok SnapshotToken, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	frame := j.appendFrame(payload)
-	if _, err := f.Write(frame); err != nil {
+	if err := writeFrame(f, size, sum, parts); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -530,7 +562,7 @@ func (j *Journal) FinishSnapshot(tok SnapshotToken, payload []byte) error {
 	}
 	j.segs = kept
 	j.m.snapshots.Inc()
-	j.m.snapshotBytes.Observe(float64(len(payload)))
+	j.m.snapshotBytes.Observe(float64(size))
 	j.m.segments.Set(int64(len(j.segs)))
 	return nil
 }

@@ -261,6 +261,79 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 	}
 }
 
+// TestSnapshotPartsWrittenWithoutCopy: a multi-MiB snapshot passed in
+// parts replays as their concatenation, and the frame buffer that
+// appends reuse stays the size of a record, not of the snapshot.
+func TestSnapshotPartsWrittenWithoutCopy(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := open(t, dir, nil)
+	appendAll(t, j, "r1")
+	var parts [][]byte
+	for i := 0; i < 64; i++ {
+		parts = append(parts, bytes.Repeat([]byte{byte('a' + i%26)}, 64<<10))
+	}
+	tok, err := j.StartSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.FinishSnapshot(tok, parts...); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, "r2")
+	if n := cap(j.buf); n > 1<<10 {
+		t.Errorf("append buffer holds %d bytes after a %d-byte snapshot, want a record's worth", n, 64*64<<10)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec := open(t, dir, nil)
+	if !bytes.Equal(rec.Snapshot, bytes.Join(parts, nil)) {
+		t.Errorf("snapshot of %d bytes, want the %d-byte concatenation of its parts", len(rec.Snapshot), 64*64<<10)
+	}
+	if got := asStrings(rec.Records); len(got) != 1 || got[0] != "r2" {
+		t.Errorf("records = %v, want [r2]", got)
+	}
+}
+
+// TestCompactionPastRecordLimit: a snapshot larger than the limit on a
+// segment record still recovers, since its file's size bounds its frame.
+func TestCompactionPastRecordLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes a 65 MiB snapshot")
+	}
+	dir := t.TempDir()
+	j, _ := open(t, dir, nil)
+	appendAll(t, j, "r1")
+	part := bytes.Repeat([]byte("0123456789abcdef"), 64<<10)
+	parts := make([][]byte, maxRecord/len(part)+1)
+	for i := range parts {
+		parts[i] = part
+	}
+	tok, err := j.StartSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.FinishSnapshot(tok, parts...); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, "r2")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec := open(t, dir, nil)
+	if want := len(parts) * len(part); len(rec.Snapshot) != want {
+		t.Fatalf("recovered a snapshot of %d bytes, want %d", len(rec.Snapshot), want)
+	}
+	for off := 0; off < len(rec.Snapshot); off += len(part) {
+		if !bytes.Equal(rec.Snapshot[off:off+len(part)], part) {
+			t.Fatalf("snapshot differs at byte %d", off)
+		}
+	}
+	if got := asStrings(rec.Records); len(got) != 1 || got[0] != "r2" {
+		t.Errorf("records = %v, want [r2]", got)
+	}
+}
+
 func TestSyncModes(t *testing.T) {
 	for _, mode := range []SyncMode{SyncAlways, SyncInterval, SyncNone} {
 		t.Run(string(mode), func(t *testing.T) {

@@ -68,8 +68,8 @@ func encodeEvent(ev Event) ([]byte, error) {
 
 // job is one async unit of work: its state machine, progress aggregate,
 // event log, and result. Every externally visible mutation flows
-// through publishLocked / finish, which mirror it into the write-ahead
-// journal (when one is attached) so the job survives a crash.
+// through journalLocked, which mirrors it into the write-ahead journal
+// (when one is attached) so the job survives a crash.
 type job struct {
 	id      string
 	kind    string
@@ -105,6 +105,12 @@ type job struct {
 	spans        []xtrace.SpanRecord
 	spansDropped int
 
+	// snapEnc is the job's encoded journal-snapshot entry, nil until a
+	// snapshot encodes the job and again after any journaled change.
+	// A snapshot writes it outside j.mu, so it is replaced, never
+	// modified in place.
+	snapEnc []byte
+
 	cancel context.CancelFunc
 }
 
@@ -132,7 +138,16 @@ func (j *job) recordSpanLocked(rec xtrace.SpanRecord) {
 	}
 	seq := len(j.spans)
 	j.spans = append(j.spans, rec)
-	j.wal.append(walRecord{Type: recSpan, ID: j.id, At: rec.End, Span: &rec, SpanSeq: seq})
+	j.journalLocked(walRecord{Type: recSpan, ID: j.id, At: rec.End, Span: &rec, SpanSeq: seq})
+}
+
+// journalLocked appends one record of a change to the job and drops
+// the job's cached snapshot entry, so the next snapshot encodes the
+// change. Every job record goes through here, under j.mu and in the
+// same hold as the change it records.
+func (j *job) journalLocked(rec walRecord) {
+	j.snapEnc = nil
+	j.wal.append(rec)
 }
 
 // newJob builds a queued job without publishing or journaling anything:
@@ -170,7 +185,7 @@ func newJobID() string {
 func (j *job) enqueue() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.wal.append(walRecord{
+	j.journalLocked(walRecord{
 		Type: recCreated, ID: j.id, At: j.created,
 		Kind: j.kind, Request: j.reqRaw, IdemKey: j.idemKey,
 		TraceID: j.traceID(),
@@ -185,7 +200,7 @@ func (j *job) publishLocked(ev Event) {
 	ev.Seq = len(j.events)
 	j.events = append(j.events, ev)
 	j.cond.Broadcast()
-	j.wal.append(walRecord{Type: recEvent, ID: j.id, At: time.Now(), Event: &ev})
+	j.journalLocked(walRecord{Type: recEvent, ID: j.id, At: time.Now(), Event: &ev})
 }
 
 // wake re-checks every subscriber's wait condition; used to unblock
@@ -228,7 +243,7 @@ func (j *job) finish(result any, err error) {
 		j.publishLocked(Event{Type: "state", State: JobSucceeded})
 	}
 	walStart := time.Now()
-	j.wal.append(walRecord{
+	j.journalLocked(walRecord{
 		Type: recDone, ID: j.id, At: j.finished,
 		StartedAt: j.started, FinishedAt: j.finished,
 		Error: j.errMsg, Result: j.result,
@@ -261,7 +276,7 @@ func (j *job) interrupt(reason string) {
 	j.errMsg = reason
 	j.finished = time.Now()
 	j.publishLocked(Event{Type: "state", State: JobInterrupted, Error: reason})
-	j.wal.append(walRecord{
+	j.journalLocked(walRecord{
 		Type: recDone, ID: j.id, At: j.finished,
 		StartedAt: j.started, FinishedAt: j.finished, Error: reason,
 	})
@@ -386,12 +401,18 @@ func (j *job) status(withResult bool) JobStatus {
 	return st
 }
 
-// snapshot captures the job's full durable state for a journal
-// snapshot.
-func (j *job) snapshot() jobSnapshot {
+// snapshotEntry returns the job's journal-snapshot entry, the JSON of
+// its full durable state. It encodes the job only when a journaled
+// change dropped the cached entry since the last call.
+func (j *job) snapshotEntry() ([]byte, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return jobSnapshot{
+	if j.snapEnc != nil {
+		return j.snapEnc, nil
+	}
+	// Encoded under j.mu, so the event log and the span timeline need
+	// no copy.
+	b, err := json.Marshal(jobSnapshot{
 		ID:         j.id,
 		Kind:       j.kind,
 		State:      j.state,
@@ -400,12 +421,17 @@ func (j *job) snapshot() jobSnapshot {
 		FinishedAt: j.finished,
 		Error:      j.errMsg,
 		Result:     j.result,
-		Events:     append([]Event(nil), j.events...),
-		Spans:      append([]xtrace.SpanRecord(nil), j.spans...),
+		Events:     j.events,
+		Spans:      j.spans,
 		TraceID:    j.traceID(),
 		IdemKey:    j.idemKey,
 		Request:    j.reqRaw,
+	})
+	if err != nil {
+		return nil, err
 	}
+	j.snapEnc = b
+	return b, nil
 }
 
 // expired reports whether the job finished more than ttl ago.
@@ -507,16 +533,37 @@ func (s *jobStore) list() []*job {
 	return out
 }
 
-// snapshot captures the whole store for a journal snapshot.
-func (s *jobStore) snapshot() storeSnapshot {
+// Separators of the snapshot payload, json.Marshal(storeSnapshot{...})
+// cut around its job entries.
+var (
+	snapOpen  = []byte(`{"jobs":[`)
+	snapComma = []byte(",")
+	snapClose = []byte("]}")
+)
+
+// snapshotParts returns the journal snapshot payload of the whole store
+// as parts whose concatenation is json.Marshal of its storeSnapshot.
+// Only jobs changed since the last snapshot are encoded; the others
+// contribute their cached entries. Each job's lock is released before
+// the next is taken, and all of them before the caller writes the
+// parts.
+func (s *jobStore) snapshotParts() ([][]byte, error) {
 	s.mu.Lock()
 	jobs := append([]*job(nil), s.order...)
 	s.mu.Unlock()
-	snap := storeSnapshot{Jobs: make([]jobSnapshot, 0, len(jobs))}
-	for _, j := range jobs {
-		snap.Jobs = append(snap.Jobs, j.snapshot())
+	parts := make([][]byte, 0, 2*len(jobs)+1)
+	parts = append(parts, snapOpen)
+	for i, j := range jobs {
+		b, err := j.snapshotEntry()
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 {
+			parts = append(parts, snapComma)
+		}
+		parts = append(parts, b)
 	}
-	return snap
+	return append(parts, snapClose), nil
 }
 
 // sweep retires finished jobs past their TTL and, when the store is

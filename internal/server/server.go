@@ -121,7 +121,9 @@ type Options struct {
 	JobTTL time.Duration
 
 	// MaxJobs caps the job store; the oldest finished jobs are retired
-	// first when it overflows. Default 1024.
+	// first when it overflows. Default 1024. With a journal, every stored
+	// job also keeps its encoded snapshot entry (see SnapshotEvery), so
+	// the cap bounds those too.
 	MaxJobs int
 
 	// ProgressInterval throttles SSE progress events per job: reports
@@ -166,7 +168,11 @@ type Options struct {
 
 	// SnapshotEvery runs a journal snapshot+compaction cycle after this
 	// many appended records, bounding both log size and recovery time.
-	// Default 4096; negative disables snapshotting.
+	// Default 4096; negative disables snapshotting. A snapshot writes
+	// every stored job but encodes only those changed since the last
+	// one: each job keeps its encoded entry until its next journaled
+	// change, so a job is encoded once after its last change, however
+	// many snapshots it stays in the store for.
 	SnapshotEvery int64
 
 	// RequeueOnRecovery re-enqueues jobs that the journal shows as

@@ -70,6 +70,8 @@ type jobSnapshot struct {
 }
 
 // storeSnapshot is the journal snapshot payload: the whole job store.
+// The writer assembles its JSON from cached per-job entries
+// (jobStore.snapshotParts); replay decodes it whole.
 type storeSnapshot struct {
 	Jobs []jobSnapshot `json:"jobs"`
 }
@@ -131,7 +133,9 @@ func (w *walWriter) append(rec walRecord) {
 
 // snapshot runs one snapshot+compaction cycle. Records appended while
 // the store is being encoded land in segments the compaction keeps, so
-// nothing is lost to the race; replay deduplicates the overlap.
+// nothing is lost to the race; replay deduplicates the overlap. Every
+// job lock is released before the journal lock is taken: appends hold
+// job and store locks while they take the journal lock.
 func (w *walWriter) snapshot() {
 	defer w.snapping.Store(false)
 	if w.disabled.Load() {
@@ -142,7 +146,7 @@ func (w *walWriter) snapshot() {
 		w.errs()
 		return
 	}
-	payload, err := json.Marshal(w.store.snapshot())
+	parts, err := w.store.snapshotParts()
 	if err != nil {
 		w.errs()
 		return
@@ -156,7 +160,7 @@ func (w *walWriter) snapshot() {
 	if w.disabled.Load() {
 		return
 	}
-	if err := w.jn.FinishSnapshot(tok, payload); err != nil {
+	if err := w.jn.FinishSnapshot(tok, parts...); err != nil {
 		w.errs()
 	}
 }
