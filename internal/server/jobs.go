@@ -136,17 +136,27 @@ func (j *job) recordSpanLocked(rec xtrace.SpanRecord) {
 		j.spansDropped++
 		return
 	}
-	seq := len(j.spans)
 	j.spans = append(j.spans, rec)
-	j.journalLocked(walRecord{Type: recSpan, ID: j.id, At: rec.End, Span: &rec, SpanSeq: seq})
+	j.journalLocked(walRecord{Type: recSpan, At: rec.End, Span: &rec})
 }
 
-// journalLocked appends one record of a change to the job and drops
-// the job's cached snapshot entry, so the next snapshot encodes the
-// change. Every job record goes through here, under j.mu and in the
+// journalLocked journals the job's newest event or span, already in
+// memory, and drops the job's cached snapshot entry, so the next
+// snapshot encodes the change. It stamps the record with the job ID and
+// its seq, the number of events and spans before it. The seq 0 record
+// also carries the job's creation, and a terminal event's record its
+// outcome. Every job record goes through here, under j.mu and in the
 // same hold as the change it records.
 func (j *job) journalLocked(rec walRecord) {
 	j.snapEnc = nil
+	rec.ID, rec.Seq = j.id, len(j.events)+len(j.spans)-1
+	if rec.Seq == 0 {
+		rec.At = j.created
+		rec.Kind, rec.Request, rec.IdemKey, rec.TraceID = j.kind, j.reqRaw, j.idemKey, j.traceID()
+	}
+	if rec.Event != nil && rec.Event.State.terminal() {
+		rec.StartedAt, rec.FinishedAt, rec.Result = j.started, j.finished, j.result
+	}
 	j.wal.append(rec)
 }
 
@@ -178,18 +188,13 @@ func newJobID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// enqueue journals the job's creation and publishes the queued event.
-// It must run after the job is in the store: a journal snapshot taken
-// in between then includes the job, which is what makes the created
-// record safe to compact.
+// enqueue publishes the queued event, whose record, the job's first,
+// journals its creation. It must run after the job is in the store: a
+// journal snapshot taken in between then includes the job, which is
+// what makes that record safe to compact.
 func (j *job) enqueue() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.journalLocked(walRecord{
-		Type: recCreated, ID: j.id, At: j.created,
-		Kind: j.kind, Request: j.reqRaw, IdemKey: j.idemKey,
-		TraceID: j.traceID(),
-	})
 	j.publishLocked(Event{Type: "state", State: JobQueued})
 }
 
@@ -200,7 +205,7 @@ func (j *job) publishLocked(ev Event) {
 	ev.Seq = len(j.events)
 	j.events = append(j.events, ev)
 	j.cond.Broadcast()
-	j.journalLocked(walRecord{Type: recEvent, ID: j.id, At: time.Now(), Event: &ev})
+	j.journalLocked(walRecord{Type: recEvent, At: time.Now(), Event: &ev})
 }
 
 // wake re-checks every subscriber's wait condition; used to unblock
@@ -221,7 +226,8 @@ func (j *job) setRunning() {
 }
 
 // finish records the terminal state, result, and final progress
-// snapshot, publishes the terminal event, and journals the outcome.
+// snapshot, and publishes the terminal event, whose record journals the
+// outcome.
 func (j *job) finish(result any, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -229,25 +235,18 @@ func (j *job) finish(result any, err error) {
 	for _, jp := range j.progress.Snapshot() {
 		j.progress.MarkDone(jp.Job)
 	}
+	ev := Event{Type: "state", State: JobSucceeded}
 	if err != nil {
-		j.state = JobFailed
 		j.errMsg = err.Error()
-		j.publishLocked(Event{Type: "state", State: JobFailed, Error: j.errMsg})
-	} else {
-		j.state = JobSucceeded
-		if result != nil {
-			if raw, merr := json.Marshal(result); merr == nil {
-				j.result = raw
-			}
+		ev = Event{Type: "state", State: JobFailed, Error: j.errMsg}
+	} else if result != nil {
+		if raw, merr := json.Marshal(result); merr == nil {
+			j.result = raw
 		}
-		j.publishLocked(Event{Type: "state", State: JobSucceeded})
 	}
+	j.state = ev.State
 	walStart := time.Now()
-	j.journalLocked(walRecord{
-		Type: recDone, ID: j.id, At: j.finished,
-		StartedAt: j.started, FinishedAt: j.finished,
-		Error: j.errMsg, Result: j.result,
-	})
+	j.publishLocked(ev)
 	if j.wal != nil && j.trace.Valid() {
 		j.recordSpanLocked(xtrace.MakeRecord(j.trace.TraceID, j.trace.SpanID,
 			"journal.append", walStart, time.Now(), nil))
@@ -276,10 +275,6 @@ func (j *job) interrupt(reason string) {
 	j.errMsg = reason
 	j.finished = time.Now()
 	j.publishLocked(Event{Type: "state", State: JobInterrupted, Error: reason})
-	j.journalLocked(walRecord{
-		Type: recDone, ID: j.id, At: j.finished,
-		StartedAt: j.started, FinishedAt: j.finished, Error: reason,
-	})
 }
 
 // requeue returns a recovered non-terminal job to the queued state for

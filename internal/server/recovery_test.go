@@ -521,7 +521,9 @@ func TestRecoveryAcrossSnapshots(t *testing.T) {
 
 // TestReplayStateDedupsSnapshotOverlap: records appended while a
 // snapshot is being encoded can repeat entries the snapshot already
-// holds. Replay applies each event Seq and each SpanSeq exactly once.
+// holds. The job's stream is ev0, ev1, admit, ev2, run (seq 0 to 4);
+// the snapshot holds its first three, and replay applies each record's
+// seq exactly once.
 func TestReplayStateDedupsSnapshotOverlap(t *testing.T) {
 	ev := func(seq int) *Event { return &Event{Seq: seq, Type: "progress", Steps: int64(100 * (seq + 1))} }
 	span := func(name string) *xtrace.SpanRecord { return &xtrace.SpanRecord{Name: name} }
@@ -535,10 +537,10 @@ func TestReplayStateDedupsSnapshotOverlap(t *testing.T) {
 	}
 	rec := &journal.Recovery{Snapshot: snap}
 	for _, r := range []walRecord{
-		{Type: recEvent, ID: "j1", Event: ev(1)},                 // already snapshotted
-		{Type: recSpan, ID: "j1", Span: span("admit")},           // already snapshotted
-		{Type: recEvent, ID: "j1", Event: ev(2)},                 // new
-		{Type: recSpan, ID: "j1", Span: span("run"), SpanSeq: 1}, // new
+		{Type: recEvent, ID: "j1", Seq: 1, Event: ev(1)},       // already snapshotted
+		{Type: recSpan, ID: "j1", Seq: 2, Span: span("admit")}, // already snapshotted
+		{Type: recEvent, ID: "j1", Seq: 3, Event: ev(2)},       // new
+		{Type: recSpan, ID: "j1", Seq: 4, Span: span("run")},   // new
 	} {
 		b, err := json.Marshal(r)
 		if err != nil {

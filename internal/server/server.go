@@ -429,7 +429,7 @@ func New(opts Options) (*Server, error) {
 		if err != nil {
 			jn.Close()
 			s.lifeCancel()
-			return nil, err
+			return nil, fmt.Errorf("server: job journal in %s: %w", opts.DataDir, err)
 		}
 		s.wal = &walWriter{jn: jn, snapEvery: opts.SnapshotEvery, errs: s.sm.walErrors.Inc}
 		s.rec = RecoveryStats{Durable: true, TruncatedBytes: rec.TruncatedBytes}

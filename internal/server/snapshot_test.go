@@ -100,9 +100,9 @@ func TestSnapshotEntriesMatchReference(t *testing.T) {
 		j := newJob(kind, json.RawMessage(`{"kind":"`+kind+`","workload":"aes"}`), idemKey, wal)
 		j.trace = trace
 		store.putOrIdem(j)
-		check("store put, before the created record")
+		check("store put, before the queued event")
 		j.enqueue()
-		check("created")
+		check("queued")
 		return j
 	}
 

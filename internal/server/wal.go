@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,16 +12,15 @@ import (
 	"alchemist/internal/xtrace"
 )
 
-// The server journals four record types. Replay is idempotent: a
-// record whose effect is already reflected in the snapshot it follows
-// (events are deduplicated by per-job sequence number) applies as a
-// no-op, which is what lets snapshot encoding run concurrently with
-// appends.
+// A job journals one ordered stream of records, each exactly one event
+// or one span, stamped with its seq: the number of the job's events and
+// spans before it. Replay is idempotent: a record whose seq the job has
+// passed in the snapshot it follows applies as a no-op, which is what
+// lets snapshot encoding run concurrently with appends. The store adds
+// retirements.
 const (
-	recCreated = "created" // a job entered the store
 	recEvent   = "event"   // one event-log entry (state transition or progress)
 	recSpan    = "span"    // one span-timeline entry
-	recDone    = "done"    // terminal outcome: result / error, timestamps
 	recRetired = "retired" // the store dropped the job (TTL or capacity)
 )
 
@@ -28,26 +28,22 @@ const (
 type walRecord struct {
 	Type string    `json:"type"`
 	ID   string    `json:"id"`
+	Seq  int       `json:"seq,omitempty"`
 	At   time.Time `json:"at"`
 
-	// created
+	// A job's first record (seq 0, its queued event) creates it: At is
+	// the creation time.
 	Kind    string          `json:"kind,omitempty"`
 	Request json.RawMessage `json:"request,omitempty"`
 	IdemKey string          `json:"idem_key,omitempty"`
 	TraceID string          `json:"trace_id,omitempty"`
 
-	// event
-	Event *Event `json:"event,omitempty"`
+	Event *Event             `json:"event,omitempty"`
+	Span  *xtrace.SpanRecord `json:"span,omitempty"`
 
-	// span (SpanSeq deduplicates against snapshotted spans on replay,
-	// exactly like Event.Seq for the event log)
-	Span    *xtrace.SpanRecord `json:"span,omitempty"`
-	SpanSeq int                `json:"span_seq,omitempty"`
-
-	// done
+	// The terminal event carries the outcome.
 	StartedAt  time.Time       `json:"started_at,omitzero"`
 	FinishedAt time.Time       `json:"finished_at,omitzero"`
-	Error      string          `json:"error,omitempty"`
 	Result     json.RawMessage `json:"result,omitempty"`
 }
 
@@ -173,14 +169,18 @@ func (w *walWriter) close() error {
 }
 
 // replayState folds a journal recovery (snapshot + post-snapshot
-// records) into per-job durable state, in stable creation order.
+// records) into per-job durable state, in stable creation order. A job
+// record applies only when its seq is the number of events and spans
+// the job already has, and a seq 0 record creates the job. A lower seq
+// is already in the snapshot. A higher one follows a record that failed
+// to append, so a lost record ends the job's replayable stream there.
 func replayState(rec *journal.Recovery) ([]*jobSnapshot, error) {
 	byID := make(map[string]*jobSnapshot)
 	var order []string
 	if rec.Snapshot != nil {
 		var snap storeSnapshot
 		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			return nil, fmt.Errorf("server: corrupt journal snapshot: %w", err)
+			return nil, fmt.Errorf("corrupt snapshot: %w", err)
 		}
 		for i := range snap.Jobs {
 			js := snap.Jobs[i]
@@ -195,58 +195,51 @@ func replayState(rec *journal.Recovery) ([]*jobSnapshot, error) {
 			// or a bug; skip it rather than refuse to start.
 			continue
 		}
-		switch r.Type {
-		case recCreated:
-			if _, ok := byID[r.ID]; ok {
-				break // already in the snapshot
-			}
-			byID[r.ID] = &jobSnapshot{
+		if r.Type == recRetired {
+			delete(byID, r.ID)
+			continue
+		}
+		// An older server journaled a job's creation and outcome as
+		// "created" and "done" records and stamped no seq, so all but its
+		// "created" records read as seq 0 without the kind that a job's
+		// first record carries. Its snapshots have today's format.
+		if r.Type == "created" || r.Seq == 0 && r.Kind == "" {
+			return nil, errors.New("written by an older server; start this one on a fresh data dir")
+		}
+		js := byID[r.ID]
+		if js == nil && r.Seq == 0 {
+			js = &jobSnapshot{
 				ID: r.ID, Kind: r.Kind, State: JobQueued,
 				CreatedAt: r.At, IdemKey: r.IdemKey, Request: r.Request,
 				TraceID: r.TraceID,
 			}
+			byID[r.ID] = js
 			order = append(order, r.ID)
-		case recEvent:
-			js := byID[r.ID]
-			if js == nil || r.Event == nil {
-				break
-			}
-			if r.Event.Seq != len(js.Events) {
-				break // duplicate of a snapshotted event (or a gap: drop)
-			}
-			js.Events = append(js.Events, *r.Event)
-			if r.Event.Type == "state" {
-				js.State = r.Event.State
-				if r.Event.Error != "" {
-					js.Error = r.Event.Error
-				}
-				if r.Event.State == JobRunning {
-					js.StartedAt = r.At
-				}
-			}
-		case recSpan:
-			js := byID[r.ID]
-			if js == nil || r.Span == nil {
-				break
-			}
-			if r.SpanSeq != len(js.Spans) {
-				break // duplicate of a snapshotted span (or a gap: drop)
-			}
+		}
+		if js == nil || r.Seq != len(js.Events)+len(js.Spans) {
+			continue // retired, already in the snapshot, or past a lost record
+		}
+		if r.Span != nil {
 			js.Spans = append(js.Spans, *r.Span)
-		case recDone:
-			js := byID[r.ID]
-			if js == nil {
-				break
-			}
-			js.StartedAt, js.FinishedAt = r.StartedAt, r.FinishedAt
-			if r.Error != "" {
-				js.Error = r.Error
-			}
-			if len(r.Result) > 0 {
-				js.Result = r.Result
-			}
-		case recRetired:
-			delete(byID, r.ID)
+			continue
+		}
+		ev := r.Event
+		if ev == nil {
+			continue
+		}
+		js.Events = append(js.Events, *ev)
+		if ev.Type != "state" {
+			continue
+		}
+		js.State = ev.State
+		if ev.Error != "" {
+			js.Error = ev.Error
+		}
+		switch {
+		case ev.State == JobRunning:
+			js.StartedAt = r.At
+		case ev.State.terminal():
+			js.StartedAt, js.FinishedAt, js.Result = r.StartedAt, r.FinishedAt, r.Result
 		}
 	}
 	out := make([]*jobSnapshot, 0, len(byID))
