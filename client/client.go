@@ -223,7 +223,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, extra
 			lastErr = fmt.Errorf("alchemist api: %s %s: %w", method, path, err)
 			continue
 		}
-		respBody, readErr := io.ReadAll(resp.Body)
+		respBody, readErr := readBody(resp)
 		resp.Body.Close()
 		if readErr != nil {
 			lastErr = fmt.Errorf("alchemist api: reading %s %s response: %w", method, path, readErr)
@@ -245,6 +245,22 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, extra
 		return nil
 	}
 	return fmt.Errorf("alchemist api: giving up after %d attempts: %w", c.maxAttempts, lastErr)
+}
+
+// maxSizedBody caps the Content-Length that readBody allocates up
+// front; a larger or undeclared body is read as it arrives.
+const maxSizedBody = 16 << 20
+
+// readBody reads a response body in one allocation when the server
+// declared its length, and with io.ReadAll otherwise. A body cut short
+// of its declared length is a read error.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxSizedBody {
+		b := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, b)
+		return b, err
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // doJSON marshals in (unless nil) and issues the request through the

@@ -348,3 +348,92 @@ func TestWaitJobPollFallback(t *testing.T) {
 		t.Fatalf("polls = %d, want >= 3", polls)
 	}
 }
+
+// TestReadsBodiesOfEveryFraming: a body whose length the server
+// declares, one it streams chunked, and one cut short of its declared
+// length, which is a read error that the client retries.
+func TestReadsBodiesOfEveryFraming(t *testing.T) {
+	want := map[string]any{"status": "ok", "pad": strings.Repeat("x", 64<<10)}
+	body, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	calls := make(map[string]int)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		calls[r.URL.Path]++
+		n := calls[r.URL.Path]
+		mu.Unlock()
+		switch {
+		case r.URL.Path == "/chunked":
+			w.Write(body[:len(body)/2])
+			w.(http.Flusher).Flush()
+			w.Write(body[len(body)/2:])
+		case r.URL.Path == "/truncated" && n == 1:
+			conn, buf, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fmt.Fprintf(buf, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(body))
+			buf.Write(body[:len(body)/2])
+			buf.Flush()
+			conn.Close()
+		default:
+			w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+			w.Write(body)
+		}
+	}))
+	defer ts.Close()
+
+	for _, path := range []string{"/declared", "/chunked", "/truncated"} {
+		c := New(ts.URL)
+		var slept []time.Duration
+		instantSleep(c, &slept)
+		var got map[string]any
+		if err := c.do(context.Background(), http.MethodGet, path, nil, nil, &got); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if got["status"] != "ok" || got["pad"] != want["pad"] {
+			t.Fatalf("%s: decoded a different body", path)
+		}
+	}
+	mu.Lock()
+	if calls["/declared"] != 1 || calls["/chunked"] != 1 || calls["/truncated"] != 2 {
+		t.Errorf("calls = %v, want the truncated body retried once", calls)
+	}
+	// With no retry left, the truncation is the error.
+	calls["/truncated"] = 0
+	mu.Unlock()
+	c := New(ts.URL, WithRetry(1, time.Millisecond, time.Millisecond))
+	err = c.do(context.Background(), http.MethodGet, "/truncated", nil, nil, nil)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "reading GET /truncated response") {
+		t.Fatalf("err = %v, want a read error for the cut body", err)
+	}
+}
+
+// TestReadBodyDeclaredInOneAllocation: a body of declared length is
+// read into one exact-size slice; an undeclared one grows as it
+// arrives.
+func TestReadBodyDeclaredInOneAllocation(t *testing.T) {
+	body := strings.Repeat("x", 100<<10)
+	rd := strings.NewReader(body)
+	resp := &http.Response{Body: io.NopCloser(rd)}
+	read := func(length int64) float64 {
+		resp.ContentLength = length
+		return testing.AllocsPerRun(20, func() {
+			rd.Reset(body)
+			b, err := readBody(resp)
+			if err != nil || string(b) != body {
+				t.Fatalf("read %d bytes (%v), want the %d-byte body", len(b), err, len(body))
+			}
+		})
+	}
+	if declared := read(int64(len(body))); declared != 1 {
+		t.Fatalf("a declared body takes %.0f allocations, want 1", declared)
+	}
+	if undeclared := read(-1); undeclared <= 1 {
+		t.Fatalf("an undeclared body takes %.0f allocations; the declared-length test proves nothing", undeclared)
+	}
+}

@@ -29,7 +29,7 @@ func cmdServe(args []string) error {
 	queue := fs.Int("queue", 0, "admission queue depth; full queue answers 429 (0 = 4x workers)")
 	timeout := fs.Duration("timeout", time.Minute, "default per-job deadline")
 	maxTimeout := fs.Duration("max-timeout", 10*time.Minute, "upper bound on request-supplied deadlines")
-	jobTTL := fs.Duration("job-ttl", 15*time.Minute, "retire finished async jobs after this long")
+	jobTTL := fs.Duration("job-ttl", 15*time.Minute, "retire finished async jobs once they finished this long ago (checked every quarter of it, at least a second apart)")
 	maxBody := fs.Int64("max-body", 1<<20, "request body size cap in bytes")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain window; jobs still running after it are aborted")
 	quiet := fs.Bool("quiet", false, "disable per-request access logging")

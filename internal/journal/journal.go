@@ -132,12 +132,12 @@ type Journal struct {
 	m    *Metrics
 
 	mu      sync.Mutex
-	f       *os.File // active segment
+	f       *os.File // active segment, nil until the first write after Open
 	buf     []byte   // frame scratch
 	pending int64    // bytes written since the last fsync
 	size    int64    // bytes in the active segment
 	gen     uint64   // last generation number handed out
-	segs    []uint64 // live segment generations, ascending (last = active)
+	segs    []uint64 // live segment generations, ascending (last = f's, once open)
 	snapGen uint64   // generation of the newest snapshot, 0 if none
 	closed  bool
 
@@ -146,7 +146,9 @@ type Journal struct {
 }
 
 // Open opens (or creates) the journal in opts.Dir, replays what is on
-// disk, truncates any torn tail, and starts a fresh active segment.
+// disk, and truncates any torn tail. It creates no file: the first
+// Append or StartSnapshot starts a fresh active segment, so a caller
+// that refuses what it recovered leaves the directory as it was.
 func Open(opts Options) (*Journal, *Recovery, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -158,12 +160,6 @@ func Open(opts Options) (*Journal, *Recovery, error) {
 	j := &Journal{opts: opts, m: opts.Metrics}
 	rec, err := j.replay()
 	if err != nil {
-		return nil, nil, err
-	}
-	// Always append into a fresh segment: the truncated tail of the old
-	// one is never reopened for writing, which keeps the tear analysis
-	// ("only the newest file can be torn") true.
-	if err := j.rotateLocked(); err != nil {
 		return nil, nil, err
 	}
 	if j.opts.Sync == SyncInterval {
@@ -376,7 +372,10 @@ func (j *Journal) Append(payload []byte) error {
 	if j.closed {
 		return errors.New("journal: append on closed journal")
 	}
-	if j.size > 0 && j.size+int64(len(payload))+frameHeader > j.opts.SegmentBytes {
+	// The first append after Open goes into a fresh segment: the
+	// truncated tail of the old one is never reopened for writing, which
+	// keeps the tear analysis ("only the newest file can be torn") true.
+	if j.f == nil || j.size > 0 && j.size+int64(len(payload))+frameHeader > j.opts.SegmentBytes {
 		if err := j.rotateLocked(); err != nil {
 			return err
 		}

@@ -469,13 +469,13 @@ func newJobStore(ttl time.Duration, max int, sm *serverMetrics, wal *walWriter) 
 // indexed but never contested there).
 func (s *jobStore) put(j *job) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.jobs[j.id] = j
 	if j.idemKey != "" {
 		s.byIdem[j.idemKey] = j
 	}
 	s.order = append(s.order, j)
-	s.mu.Unlock()
-	s.sweep(time.Now())
+	s.trimLocked(time.Now())
 }
 
 // putOrIdem registers j unless another job already owns its
@@ -483,17 +483,16 @@ func (s *jobStore) put(j *job) {
 // discarded (it has no journal footprint yet).
 func (s *jobStore) putOrIdem(j *job) *job {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if j.idemKey != "" {
 		if prev := s.byIdem[j.idemKey]; prev != nil {
-			s.mu.Unlock()
 			return prev
 		}
 		s.byIdem[j.idemKey] = j
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
-	s.mu.Unlock()
-	s.sweep(time.Now())
+	s.trimLocked(time.Now())
 	return j
 }
 
@@ -536,57 +535,82 @@ var (
 	snapClose = []byte("]}")
 )
 
-// snapshotParts returns the journal snapshot payload of the whole store
-// as parts whose concatenation is json.Marshal of its storeSnapshot.
-// Only jobs changed since the last snapshot are encoded; the others
-// contribute their cached entries. Each job's lock is released before
-// the next is taken, and all of them before the caller writes the
-// parts.
-func (s *jobStore) snapshotParts() ([][]byte, error) {
+// snapshotParts appends the store's jobs, in order, to jobs and the
+// journal snapshot payload of those jobs to parts, as parts whose
+// concatenation is json.Marshal of their storeSnapshot. Only jobs
+// changed since the last snapshot are encoded; the others contribute
+// their cached entries. Each job's lock is released before the next is
+// taken, and all of them before the caller writes the parts.
+func (s *jobStore) snapshotParts(jobs []*job, parts [][]byte) ([]*job, [][]byte, error) {
 	s.mu.Lock()
-	jobs := append([]*job(nil), s.order...)
+	jobs = append(jobs, s.order...)
 	s.mu.Unlock()
-	parts := make([][]byte, 0, 2*len(jobs)+1)
 	parts = append(parts, snapOpen)
 	for i, j := range jobs {
 		b, err := j.snapshotEntry()
 		if err != nil {
-			return nil, err
+			return jobs, parts, err
 		}
 		if i > 0 {
 			parts = append(parts, snapComma)
 		}
 		parts = append(parts, b)
 	}
-	return append(parts, snapClose), nil
+	return jobs, append(parts, snapClose), nil
 }
 
-// sweep retires finished jobs past their TTL and, when the store is
-// over capacity, the oldest finished jobs beyond it. Unfinished jobs
-// are never evicted — the admission queue bounds how many can exist.
+// sweep retires the finished jobs past their TTL and then trims the
+// store to its capacity, so the trim retires only what the expired jobs
+// did not already make room for.
 func (s *jobStore) sweep(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	kept := s.order[:0]
-	overflow := len(s.order) - s.max
 	for _, j := range s.order {
-		evict := j.expired(now, s.ttl)
-		if !evict && overflow > 0 && j.isTerminal() {
-			evict = true
-		}
-		if evict {
-			if overflow > 0 {
-				overflow-- // any eviction shrinks the store
-			}
-			delete(s.jobs, j.id)
-			if j.idemKey != "" {
-				delete(s.byIdem, j.idemKey)
-			}
-			s.wal.append(walRecord{Type: recRetired, ID: j.id, At: now})
-			s.sm.jobsRetired.Inc()
+		if j.expired(now, s.ttl) {
+			s.retireLocked(j, now)
 			continue
 		}
 		kept = append(kept, j)
 	}
+	clear(s.order[len(kept):])
 	s.order = kept
+	s.trimLocked(now)
+}
+
+// trimLocked retires the oldest finished jobs while the store holds
+// more than max. Unfinished jobs are never retired and keep their
+// places; the admission queue bounds how many exist, so the walk from
+// the head passes at most that many, and a put costs the jobs it
+// retires, not the jobs stored.
+func (s *jobStore) trimLocked(now time.Time) {
+	over := len(s.order) - s.max
+	i, unfinished := 0, 0
+	for ; over > 0 && i < len(s.order); i++ {
+		j := s.order[i]
+		if !j.isTerminal() {
+			s.order[unfinished] = j
+			unfinished++
+			continue
+		}
+		s.retireLocked(j, now)
+		over--
+	}
+	// The unfinished jobs walked past move up to the unwalked rest, and
+	// the vacated head slots are cleared so they pin no retired job.
+	head := i - unfinished
+	copy(s.order[head:i], s.order[:unfinished])
+	clear(s.order[:head])
+	s.order = s.order[head:]
+}
+
+// retireLocked drops j from the indexes and journals its retirement;
+// the caller takes it out of order.
+func (s *jobStore) retireLocked(j *job, now time.Time) {
+	delete(s.jobs, j.id)
+	if j.idemKey != "" {
+		delete(s.byIdem, j.idemKey)
+	}
+	s.wal.append(walRecord{Type: recRetired, ID: j.id, At: now})
+	s.sm.jobsRetired.Inc()
 }

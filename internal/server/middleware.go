@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,8 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
+	"strconv"
+	"sync"
 	"time"
 
 	"alchemist/internal/xtrace"
@@ -233,13 +236,69 @@ type apiError struct {
 	Error ErrorBody `json:"error"`
 }
 
-// writeJSON writes v as indented JSON with the given status.
+// jsonPool hands out encoders of one indentation, each with the buffer
+// it writes into. A pooled buffer keeps its capacity and its encoder
+// the indent scratch, so a warm encoding allocates neither.
+type jsonPool struct{ sync.Pool }
+
+type jsonBuffer struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledJSON is the largest buffer that goes back to a pool; one
+// that grew past it for a rare large body is left to the collector.
+const maxPooledJSON = 1 << 20
+
+var (
+	indentedJSON = newJSONPool("  ") // response bodies
+	compactJSON  = newJSONPool("")   // journal records
+)
+
+func newJSONPool(indent string) *jsonPool {
+	p := new(jsonPool)
+	p.New = func() any {
+		b := new(jsonBuffer)
+		b.enc = json.NewEncoder(&b.buf)
+		b.enc.SetIndent("", indent)
+		return b
+	}
+	return p
+}
+
+// encode encodes v into a pooled buffer, newline-terminated as
+// Encoder.Encode writes it. The bytes stay valid until put returns the
+// buffer.
+func (p *jsonPool) encode(v any) (*jsonBuffer, error) {
+	b := p.Get().(*jsonBuffer)
+	b.buf.Reset()
+	if err := b.enc.Encode(v); err != nil {
+		p.put(b)
+		return nil, err
+	}
+	return b, nil
+}
+
+func (p *jsonPool) put(b *jsonBuffer) {
+	if b.buf.Cap() <= maxPooledJSON {
+		p.Put(b)
+	}
+}
+
+// writeJSON writes v as indented JSON with the given status, in one
+// write that its Content-Length announces. A value that does not encode
+// gets the status and an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	b, err := indentedJSON.encode(v)
+	if err != nil {
+		w.WriteHeader(status)
+		return
+	}
+	defer indentedJSON.put(b)
+	w.Header().Set("Content-Length", strconv.Itoa(b.buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(b.buf.Bytes())
 }
 
 // httpError writes the uniform error envelope.

@@ -116,14 +116,19 @@ type Options struct {
 	// MaxTimeout clamps request-supplied deadlines. Default 10m.
 	MaxTimeout time.Duration
 
-	// JobTTL retires finished async jobs from the in-memory store this
-	// long after completion. Default 15m.
+	// JobTTL retires finished async jobs from the in-memory store once
+	// they finished this long ago. A janitor pass retires them, every
+	// JobTTL/4 (at least a second apart) and once at startup. Default
+	// 15m.
 	JobTTL time.Duration
 
-	// MaxJobs caps the job store; the oldest finished jobs are retired
-	// first when it overflows. Default 1024. With a journal, every stored
-	// job also keeps its encoded snapshot entry (see SnapshotEvery), so
-	// the cap bounds those too.
+	// MaxJobs caps the job store: a submission that takes the store over
+	// it retires the oldest finished jobs, as many as it is over, and
+	// touches no other stored job. Queued and running jobs are never
+	// retired, so the store may exceed the cap by the admission queue's
+	// worth. Default 1024. With a journal, every stored job also keeps
+	// its encoded snapshot entry (see SnapshotEvery), so the cap bounds
+	// those too.
 	MaxJobs int
 
 	// ProgressInterval throttles SSE progress events per job: reports
@@ -475,6 +480,9 @@ func (s *Server) recoverJobs(snaps []*jobSnapshot) {
 		s.rec.Interrupted++
 		s.sm.jobsInterrupted.Inc()
 	}
+	// Jobs whose TTL ran out while the server was down go now, not at
+	// the janitor's first pass.
+	s.store.sweep(time.Now())
 	s.sm.jobsRecovered.Set(int64(s.rec.Jobs))
 }
 

@@ -53,7 +53,7 @@ func referenceSnapshot(t *testing.T, s *jobStore) []byte {
 // cachedSnapshot is the payload the journal writes from snapshotParts.
 func cachedSnapshot(t *testing.T, s *jobStore) []byte {
 	t.Helper()
-	parts, err := s.snapshotParts()
+	_, parts, err := s.snapshotParts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,13 +202,13 @@ func finishedStore(t *testing.T, n int) *jobStore {
 func TestSnapshotReencodesOnlyChangedJobs(t *testing.T) {
 	const n = 2000
 	store := finishedStore(t, n)
-	first, err := store.snapshotParts()
+	_, first, err := store.snapshotParts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	changed := store.order[n/2]
 	changed.RecordSpan(xtrace.SpanRecord{Name: "sse"})
-	second, err := store.snapshotParts()
+	_, second, err := store.snapshotParts(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestSnapshotReencodesOnlyChangedJobs(t *testing.T) {
 		changed.mu.Lock()
 		changed.journalLocked(walRecord{Type: recSpan, ID: changed.id})
 		changed.mu.Unlock()
-		if _, err := store.snapshotParts(); err != nil {
+		if _, _, err := store.snapshotParts(nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -241,6 +241,40 @@ func TestSnapshotReencodesOnlyChangedJobs(t *testing.T) {
 		t.Fatalf("a snapshot of %d jobs with one changed allocates %.0f objects, want at most 50", n, allocs)
 	}
 	t.Logf("a snapshot of %d jobs with one changed allocates %.0f objects", n, allocs)
+}
+
+// TestSnapshotReusesItsScratch: a snapshot of an unchanged 2,000-job
+// store reuses the previous snapshot's part list and copy of the store
+// order, so beyond what the journal spends on writing any snapshot it
+// allocates a few bytes, not a part header and a pointer per job. Both
+// are cleared once the snapshot is written, so they pin no job.
+func TestSnapshotReusesItsScratch(t *testing.T) {
+	const n = 2000
+	perSnapshot := func(store *jobStore) uint64 {
+		wal, _ := openWAL(t, t.TempDir())
+		defer wal.close()
+		wal.store = store
+		wal.snapshot() // encodes every job once
+		b := bytesPerRun(10, wal.snapshot)
+		for _, j := range wal.snapJobs[:cap(wal.snapJobs)] {
+			if j != nil {
+				t.Fatal("a written snapshot still holds a job")
+			}
+		}
+		for _, p := range wal.snapParts[:cap(wal.snapParts)] {
+			if p != nil {
+				t.Fatal("a written snapshot still holds a part")
+			}
+		}
+		return b
+	}
+	empty := perSnapshot(finishedStore(t, 0))
+	full := perSnapshot(finishedStore(t, n))
+	t.Logf("a snapshot allocates %d bytes with no job, %d with %d unchanged ones", empty, full, n)
+	if full > empty+4*n {
+		t.Fatalf("a snapshot of %d unchanged jobs allocates %d bytes more than one of none, want at most %d",
+			n, full-empty, 4*n)
+	}
 }
 
 // TestSnapshotConcurrentWithChanges races snapshots against changes to

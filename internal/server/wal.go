@@ -86,6 +86,12 @@ type walWriter struct {
 
 	appends  atomic.Int64
 	snapping atomic.Bool
+	// snapJobs and snapParts are the running snapshot's copy of the
+	// store order and its part list, kept for the next one (snapping
+	// admits one at a time) and cleared in between so they pin no
+	// retired job.
+	snapJobs  []*job
+	snapParts [][]byte
 	// disabled simulates a hard kill (Server.Kill): appends stop
 	// reaching the journal, as if the process had already died. kill
 	// sets it under killMu, which a snapshot holds from its last check
@@ -110,12 +116,14 @@ func (w *walWriter) append(rec walRecord) {
 	if w == nil || w.disabled.Load() {
 		return
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		w.errs()
-		return
+	b, err := compactJSON.encode(rec)
+	if err == nil {
+		// Without Encode's newline the payload is json.Marshal's; Append
+		// copies it into its frame before the buffer goes back.
+		err = w.jn.Append(b.buf.Bytes()[:b.buf.Len()-1])
+		compactJSON.put(b)
 	}
-	if err := w.jn.Append(b); err != nil {
+	if err != nil {
 		w.errs()
 		return
 	}
@@ -142,7 +150,11 @@ func (w *walWriter) snapshot() {
 		w.errs()
 		return
 	}
-	parts, err := w.store.snapshotParts()
+	w.snapJobs, w.snapParts, err = w.store.snapshotParts(w.snapJobs[:0], w.snapParts[:0])
+	defer func() {
+		clear(w.snapJobs)
+		clear(w.snapParts)
+	}()
 	if err != nil {
 		w.errs()
 		return
@@ -156,7 +168,7 @@ func (w *walWriter) snapshot() {
 	if w.disabled.Load() {
 		return
 	}
-	if err := w.jn.FinishSnapshot(tok, parts...); err != nil {
+	if err := w.jn.FinishSnapshot(tok, w.snapParts...); err != nil {
 		w.errs()
 	}
 }
