@@ -22,8 +22,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,6 +32,9 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"alchemist/internal/api"
+	"alchemist/internal/xtrace"
 )
 
 // Client is a connection to one alchemist server. It is safe for
@@ -141,13 +142,7 @@ func (c *Client) backoff(attempt int, hint time.Duration) time.Duration {
 // the Retry-After header and envelope hint.
 func decodeError(resp *http.Response, body []byte) *APIError {
 	ae := &APIError{Status: resp.StatusCode, Code: "internal", Message: strings.TrimSpace(string(body))}
-	var env struct {
-		Error struct {
-			Code         string `json:"code"`
-			Message      string `json:"message"`
-			RetryAfterMS int64  `json:"retry_after_ms"`
-		} `json:"error"`
-	}
+	var env api.ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err == nil && env.Error.Code != "" {
 		ae.Code = env.Error.Code
 		ae.Message = env.Error.Message
@@ -177,7 +172,7 @@ func retryableStatus(status int) bool {
 // server sees — and its access log and job timeline record — a single
 // trace.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, extraHdr map[string]string, out any) error {
-	traceID := newTraceID()
+	traceID := xtrace.NewTraceID()
 	var lastErr error
 	for attempt := 0; attempt < c.maxAttempts; attempt++ {
 		if attempt > 0 {
@@ -207,7 +202,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, extra
 		if c.apiKey != "" {
 			req.Header.Set("X-Api-Key", c.apiKey)
 		}
-		req.Header.Set("traceparent", traceparent(traceID))
+		req.Header.Set(xtrace.TraceparentHeader, traceparent(traceID))
 		for k, v := range extraHdr {
 			req.Header.Set(k, v)
 		}
@@ -323,33 +318,12 @@ func (c *Client) Health(ctx context.Context) (map[string]any, error) {
 	return out, nil
 }
 
-// newIdemKey mints a fresh idempotency key.
-func newIdemKey() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// Fall back to something unique enough; crypto/rand does not
-		// fail on supported platforms.
-		return fmt.Sprintf("idem-%d", time.Now().UnixNano())
-	}
-	return "idem-" + hex.EncodeToString(b[:])
-}
+// newIdemKey mints a fresh idempotency key: 16 random bytes, drawn
+// the way a trace ID is.
+func newIdemKey() string { return "idem-" + xtrace.NewTraceID().String() }
 
-// newTraceID mints a 16-byte W3C trace-context trace ID, hex-encoded.
-func newTraceID() string { return randHex(16) }
-
-// traceparent formats a version-00 W3C traceparent header carrying
-// traceID, with a fresh parent span ID — call it once per attempt.
-func traceparent(traceID string) string {
-	return "00-" + traceID + "-" + randHex(8) + "-01"
-}
-
-// randHex returns n random bytes, hex-encoded.
-func randHex(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
-		// Never emit an all-zero (invalid) ID; a time-derived value is
-		// unique enough for the fallback path.
-		return fmt.Sprintf("%0*x", 2*n, time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b)
+// traceparent formats a W3C traceparent header carrying traceID, with a
+// fresh parent span ID — call it once per attempt.
+func traceparent(traceID xtrace.TraceID) string {
+	return xtrace.Traceparent(xtrace.SpanContext{TraceID: traceID, SpanID: xtrace.NewSpanID()})
 }

@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"alchemist/internal/xtrace"
 )
 
 // EventStream follows one job's SSE event log. It reconnects on
@@ -24,7 +26,7 @@ type EventStream struct {
 
 	// traceID groups every connection attempt of this stream — including
 	// resumes after cuts — into one trace on the server.
-	traceID string
+	traceID xtrace.TraceID
 
 	// next is the Seq the caller has not seen yet; reconnects ask the
 	// server to resume from it.
@@ -43,7 +45,7 @@ func (c *Client) StreamEvents(jobID string, from int) *EventStream {
 	if from < 0 {
 		from = 0
 	}
-	return &EventStream{c: c, jobID: jobID, next: from, traceID: newTraceID()}
+	return &EventStream{c: c, jobID: jobID, next: from, traceID: xtrace.NewTraceID()}
 }
 
 // Next blocks until the next unseen event arrives and returns it.
@@ -133,7 +135,7 @@ func (es *EventStream) connect(ctx context.Context) error {
 		return err
 	}
 	req.Header.Set("Accept", "text/event-stream")
-	req.Header.Set("traceparent", traceparent(es.traceID))
+	req.Header.Set(xtrace.TraceparentHeader, traceparent(es.traceID))
 	if es.c.apiKey != "" {
 		req.Header.Set("X-Api-Key", es.c.apiKey)
 	}

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -140,6 +139,9 @@ type Journal struct {
 	segs    []uint64 // live segment generations, ascending (last = f's, once open)
 	snapGen uint64   // generation of the newest snapshot, 0 if none
 	closed  bool
+	// snapW writes every snapshot, reset onto each one's file, so its
+	// 64 KiB buffer is allocated once.
+	snapW *bufio.Writer
 
 	stopSync chan struct{}
 	syncDone chan struct{}
@@ -344,11 +346,10 @@ func (j *Journal) appendFrame(payload []byte) []byte {
 }
 
 // writeFrame writes one frame of the given payload size and checksum,
-// the payload being the concatenation of parts, through a fixed-size
+// the payload being the concatenation of parts, through w's fixed-size
 // buffer: many small parts cost few writes, and a large one is written
 // from where it lies.
-func writeFrame(f *os.File, size int, sum uint32, parts [][]byte) error {
-	w := bufio.NewWriterSize(f, 64<<10)
+func writeFrame(w *bufio.Writer, size int, sum uint32, parts [][]byte) error {
 	var hdr [frameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(size))
 	binary.LittleEndian.PutUint32(hdr[4:], sum)
@@ -526,7 +527,12 @@ func (j *Journal) FinishSnapshot(tok SnapshotToken, parts ...[]byte) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFrame(f, size, sum, parts); err != nil {
+	if j.snapW == nil {
+		j.snapW = bufio.NewWriterSize(f, 64<<10)
+	} else {
+		j.snapW.Reset(f)
+	}
+	if err := writeFrame(j.snapW, size, sum, parts); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -614,25 +620,4 @@ func (j *Journal) Close() error {
 		j.f = nil
 	}
 	return err
-}
-
-// RemoveAll deletes every journal file in dir (tests and operator
-// tooling; the journal must be closed).
-func RemoveAll(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	for _, e := range entries {
-		if _, ok := fileGen(e.Name(), "wal-", ".seg"); ok {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-		if _, ok := fileGen(e.Name(), "snap-", ".snap"); ok {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
-	return nil
 }

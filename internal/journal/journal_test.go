@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -292,6 +293,36 @@ func TestSnapshotPartsWrittenWithoutCopy(t *testing.T) {
 	}
 	if got := asStrings(rec.Records); len(got) != 1 || got[0] != "r2" {
 		t.Errorf("records = %v, want [r2]", got)
+	}
+}
+
+// TestSnapshotReusesItsWriter: a warm snapshot allocates far less than
+// the 64 KiB buffer it writes through, because the journal keeps one
+// writer for all its snapshots.
+func TestSnapshotReusesItsWriter(t *testing.T) {
+	j, _ := open(t, t.TempDir(), nil)
+	parts := [][]byte{[]byte(`{"jobs":[`), bytes.Repeat([]byte("x"), 1000), []byte(`]}`)}
+	snapshot := func() {
+		tok, err := j.StartSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.FinishSnapshot(tok, parts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot() // warm
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		snapshot()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("a warm snapshot allocates %d bytes", per)
+	if per > 16<<10 {
+		t.Errorf("a warm snapshot allocates %d bytes, want at most %d", per, 16<<10)
 	}
 }
 

@@ -105,10 +105,6 @@ func (r *Registry) Snapshot() Snapshot {
 			for _, ch := range in.gv.v.snapshot() {
 				s.Gauges[in.name+in.gv.v.labelString(ch)] = ch.g.Value()
 			}
-		case in.hv != nil:
-			for _, ch := range in.hv.v.snapshot() {
-				s.Histograms[in.name+in.hv.v.labelString(ch)] = histSnapshot(ch.h)
-			}
 		}
 	}
 	return s
@@ -130,14 +126,8 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// writePromHistogram writes one histogram series. labels is the inner
-// label list without braces ("" for an unlabeled histogram); the le
-// label is appended to it on bucket lines.
-func writePromHistogram(w io.Writer, name, labels string, h *Histogram) error {
-	le := "le"
-	if labels != "" {
-		le = labels + ",le"
-	}
+// writePromHistogram writes one histogram series.
+func writePromHistogram(w io.Writer, name string, h *Histogram) error {
 	cum := int64(0)
 	for i := range h.counts {
 		cum += h.counts[i].Load()
@@ -145,24 +135,13 @@ func writePromHistogram(w io.Writer, name, labels string, h *Histogram) error {
 		if i < len(h.bounds) {
 			ub = h.bounds[i]
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s=%q} %d\n", name, le, formatFloat(ub), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatFloat(ub), cum); err != nil {
 			return err
 		}
 	}
-	sel := ""
-	if labels != "" {
-		sel = "{" + labels + "}"
-	}
-	_, err := fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n",
-		name, sel, formatFloat(h.Sum()), name, sel, h.Count())
+	_, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n",
+		name, formatFloat(h.Sum()), name, h.Count())
 	return err
-}
-
-// innerLabels renders a child's label list without the surrounding
-// braces, for merging with the le label on bucket lines.
-func innerLabels(v *vec, ch *vecChild) string {
-	s := v.labelString(ch)
-	return s[1 : len(s)-1]
 }
 
 // WritePrometheus writes every instrument in the Prometheus text
@@ -185,7 +164,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			if _, err = fmt.Fprintf(w, "# TYPE %s histogram\n", in.name); err != nil {
 				return err
 			}
-			err = writePromHistogram(w, in.name, "", in.h)
+			err = writePromHistogram(w, in.name, in.h)
 		case in.cv != nil:
 			if _, err = fmt.Fprintf(w, "# TYPE %s counter\n", in.name); err != nil {
 				return err
@@ -201,15 +180,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 			for _, ch := range in.gv.v.snapshot() {
 				if _, err = fmt.Fprintf(w, "%s%s %d\n", in.name, in.gv.v.labelString(ch), ch.g.Value()); err != nil {
-					return err
-				}
-			}
-		case in.hv != nil:
-			if _, err = fmt.Fprintf(w, "# TYPE %s histogram\n", in.name); err != nil {
-				return err
-			}
-			for _, ch := range in.hv.v.snapshot() {
-				if err = writePromHistogram(w, in.name, innerLabels(in.hv.v, ch), ch.h); err != nil {
 					return err
 				}
 			}

@@ -194,7 +194,6 @@ type instrument struct {
 	h    *Histogram
 	cv   *CounterVec
 	gv   *GaugeVec
-	hv   *HistogramVec
 }
 
 // Registry is a named collection of instruments. Lookups are

@@ -19,13 +19,12 @@ const MaxLabelCardinality = 64
 // vec that has hit MaxLabelCardinality.
 const OverflowLabel = "_overflow"
 
-// vec is the shared core of CounterVec, GaugeVec, and HistogramVec: a
-// map from label-value tuples to child instruments, capped at
+// vec is the shared core of CounterVec and GaugeVec: a map from
+// label-value tuples to child instruments, capped at
 // MaxLabelCardinality distinct tuples.
 type vec struct {
 	name   string
 	labels []string
-	bounds []float64 // histogram vecs only
 
 	mu       sync.RWMutex
 	children map[string]*vecChild
@@ -38,7 +37,6 @@ type vecChild struct {
 	values []string
 	c      *Counter
 	g      *Gauge
-	h      *Histogram
 }
 
 // labelKey joins label values with a byte that cannot appear in UTF-8
@@ -47,7 +45,7 @@ func labelKey(values []string) string {
 	return strings.Join(values, "\xff")
 }
 
-func newVec(name string, labels []string, bounds []float64) *vec {
+func newVec(name string, labels []string) *vec {
 	if len(labels) == 0 {
 		panic(fmt.Sprintf("obs: vec %q needs at least one label", name))
 	}
@@ -59,7 +57,6 @@ func newVec(name string, labels []string, bounds []float64) *vec {
 	return &vec{
 		name:     name,
 		labels:   append([]string(nil), labels...),
-		bounds:   bounds,
 		children: make(map[string]*vecChild),
 	}
 }
@@ -159,25 +156,13 @@ func (gv *GaugeVec) With(values ...string) *Gauge {
 	return gv.v.child(func(ch *vecChild) { ch.g = &Gauge{} }, values).g
 }
 
-// HistogramVec is a histogram with labels; every child shares the
-// bucket layout fixed at registration.
-type HistogramVec struct{ v *vec }
-
-// With returns the child histogram for the given label values.
-func (hv *HistogramVec) With(values ...string) *Histogram {
-	if hv == nil {
-		return nil
-	}
-	return hv.v.child(func(ch *vecChild) { ch.h = newHistogram(hv.v.bounds) }, values).h
-}
-
 // CounterVec returns the labeled counter registered under name,
 // creating it with the given help text and label names on first use.
 // Label names are fixed at registration; a later lookup with different
 // labels panics.
 func (r *Registry) CounterVec(name, help string, labels []string) *CounterVec {
 	in := r.lookup(name, func() *instrument {
-		return &instrument{name: name, help: help, cv: &CounterVec{v: newVec(name, labels, nil)}}
+		return &instrument{name: name, help: help, cv: &CounterVec{v: newVec(name, labels)}}
 	})
 	if in.cv == nil {
 		panic(fmt.Sprintf("obs: metric %q already registered with a different kind", name))
@@ -189,32 +174,13 @@ func (r *Registry) CounterVec(name, help string, labels []string) *CounterVec {
 // GaugeVec returns the labeled gauge registered under name.
 func (r *Registry) GaugeVec(name, help string, labels []string) *GaugeVec {
 	in := r.lookup(name, func() *instrument {
-		return &instrument{name: name, help: help, gv: &GaugeVec{v: newVec(name, labels, nil)}}
+		return &instrument{name: name, help: help, gv: &GaugeVec{v: newVec(name, labels)}}
 	})
 	if in.gv == nil {
 		panic(fmt.Sprintf("obs: metric %q already registered with a different kind", name))
 	}
 	checkLabels(name, in.gv.v.labels, labels)
 	return in.gv
-}
-
-// HistogramVec returns the labeled histogram registered under name,
-// with the bucket layout fixed on first use (nil bounds use
-// DefBuckets).
-func (r *Registry) HistogramVec(name, help string, labels []string, bounds []float64) *HistogramVec {
-	in := r.lookup(name, func() *instrument {
-		if bounds == nil {
-			bounds = DefBuckets
-		}
-		bs := append([]float64(nil), bounds...)
-		sort.Float64s(bs)
-		return &instrument{name: name, help: help, hv: &HistogramVec{v: newVec(name, labels, bs)}}
-	})
-	if in.hv == nil {
-		panic(fmt.Sprintf("obs: metric %q already registered with a different kind", name))
-	}
-	checkLabels(name, in.hv.v.labels, labels)
-	return in.hv
 }
 
 func checkLabels(name string, registered, got []string) {

@@ -57,34 +57,6 @@ func TestGaugeVecAndBuildInfo(t *testing.T) {
 	}
 }
 
-func TestHistogramVec(t *testing.T) {
-	r := NewRegistry()
-	hv := r.HistogramVec("lat_seconds", "latency", []string{"route"}, []float64{0.1, 1})
-	hv.With("a").Observe(0.05)
-	hv.With("a").Observe(5)
-	hv.With("b").Observe(0.5)
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		`lat_seconds_bucket{route="a",le="0.1"} 1`,
-		`lat_seconds_bucket{route="a",le="+Inf"} 2`,
-		`lat_seconds_count{route="a"} 2`,
-		`lat_seconds_bucket{route="b",le="1"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("prometheus text missing %q:\n%s", want, text)
-		}
-	}
-	s := r.Snapshot()
-	if s.Histograms[`lat_seconds{route="a"}`].Count != 2 {
-		t.Fatalf("snapshot: %+v", s.Histograms)
-	}
-}
-
 func TestVecCardinalityCap(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("capped_total", "", []string{"k"})
@@ -120,7 +92,7 @@ func TestVecMisuse(t *testing.T) {
 	mustPanic(t, "label mismatch", func() { r.CounterVec("v_total", "", []string{"b"}) })
 	mustPanic(t, "arity mismatch", func() { r.CounterVec("v_total", "", []string{"a"}).With("x", "y") })
 	mustPanic(t, "no labels", func() { r.GaugeVec("g", "", nil) })
-	mustPanic(t, "bad label name", func() { r.HistogramVec("h", "", []string{"bad-label"}, nil) })
+	mustPanic(t, "bad label name", func() { r.GaugeVec("h", "", []string{"bad-label"}) })
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {
@@ -136,10 +108,8 @@ func mustPanic(t *testing.T, what string, fn func()) {
 func TestVecNilSafety(t *testing.T) {
 	var cv *CounterVec
 	var gv *GaugeVec
-	var hv *HistogramVec
 	cv.With("x").Inc()
 	gv.With("x").Set(1)
-	hv.With("x").Observe(1)
 }
 
 func TestExemplars(t *testing.T) {

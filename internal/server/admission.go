@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"alchemist/internal/api"
 )
 
 // AnonymousClient is the identity assigned to requests that carry no
@@ -230,7 +232,8 @@ func (s *Server) admitClient(w http.ResponseWriter, cl *clientState, timeout tim
 	release, ok := s.tryAdmit()
 	if !ok {
 		s.adm.release(cl)
-		s.writeBusy(w)
+		s.writeRetryable(w, http.StatusTooManyRequests, s.opts.RetryAfter, CodeQueueSaturated,
+			"admission queue full (%d slots); retry after %s", s.opts.QueueDepth, s.opts.RetryAfter)
 		return nil, false
 	}
 	s.sm.admitted.Inc()
@@ -261,7 +264,7 @@ func (s *Server) writeRetryable(w http.ResponseWriter, status int, retryAfter ti
 		ms = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, status, apiError{Error: ErrorBody{
+	writeJSON(w, status, api.ErrorEnvelope{Error: api.ErrorBody{
 		Code:         code,
 		Message:      fmt.Sprintf(format, args...),
 		RetryAfterMS: ms,

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"alchemist/internal/api"
 )
 
 func doKeyed(t *testing.T, method, url, key, body string) (*http.Response, string) {
@@ -35,7 +37,7 @@ func doKeyed(t *testing.T, method, url, key, body string) (*http.Response, strin
 
 // streamEvents replays a finished job's SSE stream, optionally resuming
 // with a Last-Event-ID header, and parses the events.
-func streamEvents(t *testing.T, base, id, lastEventID string) []Event {
+func streamEvents(t *testing.T, base, id, lastEventID string) []api.Event {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
@@ -58,7 +60,7 @@ func streamEvents(t *testing.T, base, id, lastEventID string) []Event {
 func errCode(t *testing.T, body string) string {
 	t.Helper()
 	var env struct {
-		Error ErrorBody `json:"error"`
+		Error api.ErrorBody `json:"error"`
 	}
 	if err := json.Unmarshal([]byte(body), &env); err != nil {
 		t.Fatalf("not an error envelope: %v\n%s", err, body)
@@ -123,7 +125,7 @@ func TestRateLimit429WithHonestRetryAfter(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want an integer >= 1", lastResp.Header.Get("Retry-After"))
 	}
 	var env struct {
-		Error ErrorBody `json:"error"`
+		Error api.ErrorBody `json:"error"`
 	}
 	if err := json.Unmarshal([]byte(lastBody), &env); err != nil {
 		t.Fatal(err)
@@ -267,7 +269,7 @@ func TestSSEResumeWithLastEventID(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if fin := waitState(t, ts.URL, st.ID); fin.State != JobSucceeded {
+	if fin := waitState(t, ts.URL, st.ID); fin.State != api.JobSucceeded {
 		t.Fatalf("job finished %s, want succeeded", fin.State)
 	}
 
@@ -380,7 +382,7 @@ func TestDrainRetryAfterHint(t *testing.T) {
 		t.Fatal("drain 503 carries no Retry-After header")
 	}
 	var env struct {
-		Error ErrorBody `json:"error"`
+		Error api.ErrorBody `json:"error"`
 	}
 	if err := json.Unmarshal([]byte(body), &env); err != nil {
 		t.Fatal(err)

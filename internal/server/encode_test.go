@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"alchemist/internal/obs"
+	"alchemist/internal/api"
 	"alchemist/internal/xtrace"
 )
 
@@ -44,13 +44,13 @@ func bigResult(n int) json.RawMessage {
 	return json.RawMessage(b.String())
 }
 
-func statusWithResult(result json.RawMessage) JobStatus {
+func statusWithResult(result json.RawMessage) api.JobStatus {
 	now := time.Date(2026, 10, 19, 7, 50, 12, 396804554, time.UTC)
 	started, finished := now.Add(time.Millisecond), now.Add(2*time.Millisecond)
-	return JobStatus{
-		ID: "a2405f4bf74b2488", Kind: "profile", State: JobSucceeded,
+	return api.JobStatus{
+		ID: "a2405f4bf74b2488", Kind: "profile", State: api.JobSucceeded,
 		CreatedAt: now, StartedAt: &started, FinishedAt: &finished,
-		Progress:   []obs.JobProgress{{Job: 0, Steps: 12, Done: true}},
+		Progress:   []api.JobProgress{{Job: 0, Steps: 12, Done: true}},
 		TotalSteps: 12, Result: result, TraceID: "1053d9f935a0be2572fd4b95d830075a", Spans: 9,
 	}
 }
@@ -62,9 +62,9 @@ func statusWithResult(result json.RawMessage) JobStatus {
 // Each value goes through twice, the second time on a warm encoder.
 func TestPooledJSONMatchesEncoder(t *testing.T) {
 	bodies := []any{
-		apiError{Error: ErrorBody{Code: CodeQueueSaturated, Message: "queue full <retry> & wait", RetryAfterMS: 1000}},
+		api.ErrorEnvelope{Error: api.ErrorBody{Code: CodeQueueSaturated, Message: "queue full <retry> & wait", RetryAfterMS: 1000}},
 		statusWithResult(bigResult(20 << 10)),
-		apiError{Error: ErrorBody{Code: CodeJobNotFound, Message: `no job "x"`}},
+		api.ErrorEnvelope{Error: api.ErrorBody{Code: CodeJobNotFound, Message: `no job "x"`}},
 		statusWithResult(nil),
 	}
 	for pass := 0; pass < 2; pass++ {
@@ -88,15 +88,15 @@ func TestPooledJSONMatchesEncoder(t *testing.T) {
 		{Type: recEvent, ID: "5a4f1d8ec9ae03fb", At: at, Kind: "run",
 			Request: json.RawMessage(`{"kind":"run","source":"int main() { return 7 < 8 && 1; }"}`),
 			IdemKey: "idem-1", TraceID: "68bc467e7882664df2a16ad7ade52b84",
-			Event: &Event{Seq: 0, Type: "state", State: JobQueued}},
+			Event: &api.Event{Seq: 0, Type: "state", State: api.JobQueued}},
 		{Type: recSpan, ID: "5a4f1d8ec9ae03fb", Seq: 1, At: at, Span: &span},
-		{Type: recEvent, ID: "5a4f1d8ec9ae03fb", Seq: 2, At: at, Event: &Event{Seq: 1, Type: "state", State: JobRunning}},
+		{Type: recEvent, ID: "5a4f1d8ec9ae03fb", Seq: 2, At: at, Event: &api.Event{Seq: 1, Type: "state", State: api.JobRunning}},
 		{Type: recEvent, ID: "5a4f1d8ec9ae03fb", Seq: 3, At: at,
-			Event: &Event{Seq: 2, Type: "progress", Job: 1, Steps: 40, TotalSteps: 90}},
-		{Type: recEvent, ID: "5a4f1d8ec9ae03fb", Seq: 4, At: at, Event: &Event{Seq: 3, Type: "state", State: JobSucceeded},
+			Event: &api.Event{Seq: 2, Type: "progress", Job: 1, Steps: 40, TotalSteps: 90}},
+		{Type: recEvent, ID: "5a4f1d8ec9ae03fb", Seq: 4, At: at, Event: &api.Event{Seq: 3, Type: "state", State: api.JobSucceeded},
 			StartedAt: at.Add(-time.Second), FinishedAt: at, Result: bigResult(5 << 10)},
 		{Type: recEvent, ID: "0a4743b527517461", Seq: 3, At: at,
-			Event:     &Event{Seq: 3, Type: "state", State: JobFailed, Error: "vm: out of memory"},
+			Event:     &api.Event{Seq: 3, Type: "state", State: api.JobFailed, Error: "vm: out of memory"},
 			StartedAt: at.Add(-time.Second), FinishedAt: at},
 		{Type: recRetired, ID: "5a4f1d8ec9ae03fb", At: at},
 	}
@@ -166,7 +166,7 @@ func TestPooledJSONAllocates(t *testing.T) {
 	defer wal.close()
 	at := time.Now()
 	rec := walRecord{Type: recEvent, ID: "5a4f1d8ec9ae03fb", Seq: 9, At: at,
-		Event:     &Event{Seq: 5, Type: "state", State: JobSucceeded},
+		Event:     &api.Event{Seq: 5, Type: "state", State: api.JobSucceeded},
 		StartedAt: at, FinishedAt: at, Result: bigResult(5 << 10)}
 	enc, err := json.Marshal(rec)
 	if err != nil {

@@ -14,40 +14,12 @@ import (
 	"time"
 
 	"alchemist"
+	"alchemist/internal/api"
 	"alchemist/internal/obs"
 	"alchemist/internal/progs"
 	"alchemist/internal/report"
 	"alchemist/internal/xtrace"
 )
-
-// SourceSpec names the program and input suite a request operates on:
-// either inline mini-C source (with optional explicit input streams) or
-// an embedded workload (with optional input scales). One profiling /
-// run job is created per input stream or scale; with neither, a single
-// job with the default input.
-type SourceSpec struct {
-	// Name labels inline source in diagnostics (default "request.mc").
-	Name string `json:"name,omitempty"`
-	// Source is inline mini-C source text.
-	Source string `json:"source,omitempty"`
-	// Workload selects an embedded workload instead (see GET /healthz
-	// or `alchemist list` for names). Exactly one of Source / Workload
-	// must be set.
-	Workload string `json:"workload,omitempty"`
-	// Inputs are explicit input streams, one batch job per stream
-	// (inline source only; at most maxBatchJobs).
-	Inputs [][]int64 `json:"inputs,omitempty"`
-	// Scales are workload input scales, one batch job per scale
-	// (0 = the paper default; workloads only; at most maxBatchJobs,
-	// adding up to at most maxScaleFactor times the default).
-	Scales []int `json:"scales,omitempty"`
-	// Optimize compiles with the optimization passes.
-	Optimize bool `json:"optimize,omitempty"`
-	// MemWords overrides the VM memory cap (inline source only;
-	// workloads bring their own). Values outside [0, maxMemWords] are
-	// refused.
-	MemWords int64 `json:"mem_words,omitempty"`
-}
 
 // Caps on what one request can make the server generate and run.
 const (
@@ -64,11 +36,12 @@ const (
 	maxScaleFactor = 16
 )
 
-// check validates the spec and names its compile unit; w is the
-// selected workload, nil for inline source. It is the one check of a
-// request's source on every route, and it generates no input (inputs
-// does, for execution only). All failures are user errors.
-func (sp SourceSpec) check() (name, src string, w *progs.Workload, err error) {
+// checkSpec validates a request's source and names its compile unit;
+// w is the selected workload, nil for inline source. It is the one
+// check of a request's source on every route, and it generates no
+// input (specInputs does, for execution only). All failures are user
+// errors.
+func checkSpec(sp api.SourceSpec) (name, src string, w *progs.Workload, err error) {
 	if sp.MemWords < 0 || sp.MemWords > maxMemWords {
 		return "", "", nil, fmt.Errorf("mem_words %d out of range [0, %d]", sp.MemWords, maxMemWords)
 	}
@@ -117,10 +90,10 @@ func (sp SourceSpec) check() (name, src string, w *progs.Workload, err error) {
 	}
 }
 
-// inputs generates one input stream per batch job of a checked spec (a
-// nil stream runs the default input) and the memory cap they run under;
-// w is what check returned.
-func (sp SourceSpec) inputs(w *progs.Workload) ([][]int64, int64) {
+// specInputs generates one input stream per batch job of a checked
+// spec (a nil stream runs the default input) and the memory cap they
+// run under; w is what checkSpec returned.
+func specInputs(sp api.SourceSpec, w *progs.Workload) ([][]int64, int64) {
 	if w == nil {
 		if len(sp.Inputs) == 0 {
 			return [][]int64{nil}, sp.MemWords
@@ -138,102 +111,13 @@ func (sp SourceSpec) inputs(w *progs.Workload) ([][]int64, int64) {
 	return inputs, w.MemWords
 }
 
-// CompileRequest is the body of POST /v1/compile.
-type CompileRequest struct {
-	Name     string `json:"name,omitempty"`
-	Source   string `json:"source,omitempty"`
-	Workload string `json:"workload,omitempty"`
-	Optimize bool   `json:"optimize,omitempty"`
-}
-
-// CompileResponse reports the compiled program's shape. Compiling
-// through the API warms the engine's program cache, so a later profile
-// of the same source skips the pipeline.
-type CompileResponse struct {
-	Name         string `json:"name"`
-	Functions    int    `json:"functions"`
-	Instructions int    `json:"instructions"`
-}
-
-// ProfileRequest is the body of POST /v1/profile and POST /v1/advise.
-type ProfileRequest struct {
-	SourceSpec
-	// TimeoutMS bounds the work's wall-clock time (default: the
-	// server's DefaultTimeout, clamped to MaxTimeout).
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Top truncates the response to the N hottest constructs (0 = all).
-	Top int `json:"top,omitempty"`
-}
-
-// RunSummary is one batch job's execution outcome.
-type RunSummary struct {
-	Job   int   `json:"job"`
-	Steps int64 `json:"steps"`
-	Ret   int64 `json:"ret"`
-	// Output holds up to 64 words of out() output; OutputLen is the
-	// full length.
-	Output    []int64 `json:"output,omitempty"`
-	OutputLen int     `json:"output_len"`
-}
-
-// ProfileResponse carries the union profile over the input suite.
-type ProfileResponse struct {
+// profileResponse is api.ProfileResponse with the profile typed, so
+// that a sync response or a job result encodes it in one pass.
+type profileResponse struct {
 	Name    string              `json:"name"`
 	Jobs    int                 `json:"jobs"`
 	Profile *report.JSONProfile `json:"profile"`
-	Runs    []RunSummary        `json:"runs"`
-}
-
-// AdviceItem is one transformation suggestion.
-type AdviceItem struct {
-	Action string `json:"action"`
-	Text   string `json:"text"`
-}
-
-// AdviceJSON is the advisor's judgment of one construct.
-type AdviceJSON struct {
-	Label          int          `json:"label"`
-	Name           string       `json:"name"`
-	Kind           string       `json:"kind"`
-	Line           int          `json:"line"`
-	Func           string       `json:"func"`
-	Parallelizable bool         `json:"parallelizable"`
-	Score          float64      `json:"score"`
-	Advice         []AdviceItem `json:"advice"`
-}
-
-// AdviseResponse is the ranked guidance for the profiled suite.
-type AdviseResponse struct {
-	Name    string       `json:"name"`
-	Jobs    int          `json:"jobs"`
-	Reports []AdviceJSON `json:"reports"`
-}
-
-// RunRequest is the body of POST /v1/run.
-type RunRequest struct {
-	SourceSpec
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Parallel executes spawn statements on goroutines.
-	Parallel bool `json:"parallel,omitempty"`
-}
-
-// RunResponse carries the per-job execution outcomes.
-type RunResponse struct {
-	Name string       `json:"name"`
-	Jobs int          `json:"jobs"`
-	Runs []RunSummary `json:"runs"`
-}
-
-// JobRequest is the body of POST /v1/jobs: the union of the sync
-// request shapes plus the kind discriminator. Sync requests are lifted
-// into it too, so one executor serves both paths.
-type JobRequest struct {
-	// Kind selects the work: "profile", "advise", or "run".
-	Kind string `json:"kind"`
-	SourceSpec
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	Top       int   `json:"top,omitempty"`
-	Parallel  bool  `json:"parallel,omitempty"`
+	Runs    []api.RunSummary    `json:"runs"`
 }
 
 // ---------- sync handlers ----------
@@ -243,12 +127,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if !ok || !s.allowRate(w, cl) {
 		return
 	}
-	var req CompileRequest
+	var req api.CompileRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.writeDecodeError(w, err)
 		return
 	}
-	name, src, _, err := SourceSpec{Name: req.Name, Source: req.Source, Workload: req.Workload}.check()
+	name, src, _, err := checkSpec(api.SourceSpec{Name: req.Name, Source: req.Source, Workload: req.Workload})
 	if err != nil {
 		httpError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
@@ -259,7 +143,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeExecError(w, userErr(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, CompileResponse{
+	writeJSON(w, http.StatusOK, api.CompileResponse{
 		Name:         name,
 		Functions:    len(prog.IR().Funcs),
 		Instructions: prog.IR().NumPCs,
@@ -282,7 +166,7 @@ func (s *Server) handleSync(kind string) http.HandlerFunc {
 		// Check the source before admission, as POST /v1/jobs does, so an
 		// invalid body gets 400 even when the queue is full. execute
 		// checks again for journal-requeued jobs.
-		if _, _, _, err := req.check(); err != nil {
+		if _, _, _, err := checkSpec(req.SourceSpec); err != nil {
 			s.writeExecError(w, userErr(err))
 			return
 		}
@@ -306,15 +190,15 @@ func (s *Server) handleSync(kind string) http.HandlerFunc {
 // decodeSync decodes a sync route's body as that route's own request
 // type, so a run body rejects "top" and a profile or advise body rejects
 // "parallel" as unknown fields, and lifts it into a JobRequest of kind.
-func decodeSync(r *http.Request, kind string) (JobRequest, error) {
+func decodeSync(r *http.Request, kind string) (api.JobRequest, error) {
 	if kind == "run" {
-		var rr RunRequest
+		var rr api.RunRequest
 		err := decodeJSON(r, &rr)
-		return JobRequest{Kind: kind, SourceSpec: rr.SourceSpec, TimeoutMS: rr.TimeoutMS, Parallel: rr.Parallel}, err
+		return api.JobRequest{Kind: kind, SourceSpec: rr.SourceSpec, TimeoutMS: rr.TimeoutMS, Parallel: rr.Parallel}, err
 	}
-	var pr ProfileRequest
+	var pr api.ProfileRequest
 	err := decodeJSON(r, &pr)
-	return JobRequest{Kind: kind, SourceSpec: pr.SourceSpec, TimeoutMS: pr.TimeoutMS, Top: pr.Top}, err
+	return api.JobRequest{Kind: kind, SourceSpec: pr.SourceSpec, TimeoutMS: pr.TimeoutMS, Top: pr.Top}, err
 }
 
 // ---------- work execution (shared by sync handlers and async jobs) ----------
@@ -325,8 +209,8 @@ func decodeSync(r *http.Request, kind string) (JobRequest, error) {
 // response by kind. Profiling ignores Parallel and plain runs ignore
 // Top. onProgress, when non-nil, receives every batch job's step
 // reports.
-func (s *Server) execute(ctx context.Context, req JobRequest, onProgress func(batchJob int, steps int64)) (any, error) {
-	name, src, wl, err := req.check()
+func (s *Server) execute(ctx context.Context, req api.JobRequest, onProgress func(batchJob int, steps int64)) (any, error) {
+	name, src, wl, err := checkSpec(req.SourceSpec)
 	if err != nil {
 		return nil, userErr(err)
 	}
@@ -335,7 +219,7 @@ func (s *Server) execute(ctx context.Context, req JobRequest, onProgress func(ba
 	if err != nil {
 		return nil, userErr(err)
 	}
-	inputs, memWords := req.inputs(wl)
+	inputs, memWords := specInputs(req.SourceSpec, wl)
 	cfgs := make([]alchemist.ProfileConfig, len(inputs))
 	for i, in := range inputs {
 		cfgs[i].Input, cfgs[i].MemWords = in, memWords
@@ -354,7 +238,7 @@ func (s *Server) execute(ctx context.Context, req JobRequest, onProgress func(ba
 		if err != nil {
 			return nil, err
 		}
-		return &RunResponse{Name: name, Jobs: len(rjobs), Runs: summarize(results)}, nil
+		return &api.RunResponse{Name: name, Jobs: len(rjobs), Runs: summarize(results)}, nil
 	}
 
 	pjobs := make([]alchemist.ProfileJob, len(cfgs))
@@ -368,7 +252,7 @@ func (s *Server) execute(ctx context.Context, req JobRequest, onProgress func(ba
 	if req.Kind == "advise" {
 		return advice(name, len(pjobs), merged, req.Top), nil
 	}
-	resp := &ProfileResponse{
+	resp := &profileResponse{
 		Name:    name,
 		Jobs:    len(pjobs),
 		Profile: report.ToJSON(merged),
@@ -382,16 +266,16 @@ func (s *Server) execute(ctx context.Context, req JobRequest, onProgress func(ba
 
 // advice ranks the merged profile's constructs for an advise response,
 // keeping the top N (default 8).
-func advice(name string, jobs int, merged *alchemist.Profile, top int) *AdviseResponse {
+func advice(name string, jobs int, merged *alchemist.Profile, top int) *api.AdviseResponse {
 	if top <= 0 {
 		top = 8
 	}
-	resp := &AdviseResponse{Name: name, Jobs: jobs}
+	resp := &api.AdviseResponse{Name: name, Jobs: jobs}
 	for _, rep := range alchemist.Advise(merged) {
 		if len(resp.Reports) >= top {
 			break
 		}
-		aj := AdviceJSON{
+		aj := api.AdviceReport{
 			Label:          rep.Construct.Label,
 			Name:           report.ConstructName(rep.Construct),
 			Kind:           rep.Construct.Kind.String(),
@@ -401,7 +285,7 @@ func advice(name string, jobs int, merged *alchemist.Profile, top int) *AdviseRe
 			Score:          rep.Score,
 		}
 		for _, a := range rep.Advices {
-			aj.Advice = append(aj.Advice, AdviceItem{Action: a.Action.String(), Text: a.Text})
+			aj.Advice = append(aj.Advice, api.AdviceItem{Action: a.Action.String(), Text: a.Text})
 		}
 		resp.Reports = append(resp.Reports, aj)
 	}
@@ -410,10 +294,10 @@ func advice(name string, jobs int, merged *alchemist.Profile, top int) *AdviseRe
 
 // summarize converts the batch's run results to their wire form,
 // capping each output at 64 words.
-func summarize(results []alchemist.BatchResult) []RunSummary {
-	sums := make([]RunSummary, len(results))
+func summarize(results []alchemist.BatchResult) []api.RunSummary {
+	sums := make([]api.RunSummary, len(results))
 	for i, r := range results {
-		sums[i] = RunSummary{Job: r.Job}
+		sums[i] = api.RunSummary{Job: r.Job}
 		if r.Run == nil {
 			continue
 		}
@@ -458,7 +342,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeIdemReplay(w, j)
 		return
 	}
-	var req JobRequest
+	var req api.JobRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.writeDecodeError(w, err)
 		return
@@ -471,7 +355,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Check the source before paying for an admission slot, so typos
 	// fail fast with 400 rather than occupying the queue.
-	if _, _, _, err := req.check(); err != nil {
+	if _, _, _, err := checkSpec(req.SourceSpec); err != nil {
 		httpError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
@@ -520,7 +404,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 // slot until it finishes. The job's deadline hangs off the server's
 // lifetime context, not the creating request: the client can disconnect
 // and poll later.
-func (s *Server) startJob(j *job, req JobRequest, release func()) {
+func (s *Server) startJob(j *job, req api.JobRequest, release func()) {
 	ctx, cancel := context.WithTimeout(s.lifeCtx, s.timeoutFor(req.TimeoutMS))
 	if j.trace.Valid() {
 		// Engine spans (compile cache hit/miss/coalesced, per-scale
@@ -557,14 +441,6 @@ func (s *Server) startJob(j *job, req JobRequest, release func()) {
 	}()
 }
 
-// JobListResponse is the paginated body of GET /v1/jobs.
-type JobListResponse struct {
-	Jobs []JobStatus `json:"jobs"`
-	// NextPageToken continues the listing when more jobs remain; pass
-	// it back as ?page_token=. Absent on the last page.
-	NextPageToken string `json:"next_page_token,omitempty"`
-}
-
 const (
 	defaultListLimit = 100
 	maxListLimit     = 1000
@@ -574,7 +450,7 @@ const (
 // job. The ordering key is (created_at, id), which is stable: recovery
 // preserves creation times and ids, and retirement between pages only
 // removes rows.
-func encodeCursor(st JobStatus) string {
+func encodeCursor(st api.JobStatus) string {
 	return base64.RawURLEncoding.EncodeToString(
 		[]byte(fmt.Sprintf("v1:%d:%s", st.CreatedAt.UnixNano(), st.ID)))
 }
@@ -605,9 +481,9 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 
-	var filter JobState
+	var filter api.JobState
 	if st := q.Get("state"); st != "" {
-		filter = JobState(st)
+		filter = api.JobState(st)
 		if !validJobState(filter) {
 			httpError(w, http.StatusBadRequest, CodeBadRequest,
 				"unknown state %q (want queued, running, succeeded, failed, or interrupted)", st)
@@ -636,7 +512,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		hasCursor = true
 	}
 
-	out := JobListResponse{Jobs: make([]JobStatus, 0, limit)}
+	out := api.JobList{Jobs: make([]api.JobStatus, 0, limit)}
 	for _, j := range s.store.list() {
 		st := j.status(false)
 		if filter != "" && st.State != filter {
@@ -773,27 +649,13 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// JobTraceResponse is the body of GET /v1/jobs/{id}/trace: the job's
-// persisted span timeline, which survives restarts alongside the event
-// log.
-type JobTraceResponse struct {
-	ID      string   `json:"id"`
-	State   JobState `json:"state"`
-	TraceID string   `json:"trace_id,omitempty"`
-	// Spans is the timeline in recording order: admit, queue, compile,
-	// per-scale profile/run spans, journal appends, SSE deliveries.
-	Spans []xtrace.SpanRecord `json:"spans"`
-	// DroppedSpans counts spans discarded past the per-job cap.
-	DroppedSpans int `json:"dropped_spans,omitempty"`
-}
-
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	j := s.lookupJob(w, r)
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
-	resp := JobTraceResponse{
+	resp := api.JobTrace{
 		ID:           j.id,
 		State:        j.state,
 		TraceID:      j.traceID(),
@@ -844,22 +706,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // ---------- error mapping ----------
 
-// writeBusy answers 429 with the Retry-After backoff hint in both the
-// header and the error envelope.
-func (s *Server) writeBusy(w http.ResponseWriter) {
-	secs := int(s.opts.RetryAfter.Seconds())
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, http.StatusTooManyRequests, apiError{Error: ErrorBody{
-		Code: CodeQueueSaturated,
-		Message: fmt.Sprintf("admission queue full (%d slots); retry after %ds",
-			s.opts.QueueDepth, secs),
-		RetryAfterMS: s.opts.RetryAfter.Milliseconds(),
-	}})
-}
-
 // writeDecodeError maps body-parse failures: 413 for oversized bodies,
 // 400 otherwise.
 func (s *Server) writeDecodeError(w http.ResponseWriter, err error) {
@@ -892,8 +738,8 @@ func (s *Server) writeExecError(w http.ResponseWriter, err error) {
 // writeSSE writes one event in text/event-stream framing. The event
 // type doubles as the SSE event name so EventSource listeners can
 // subscribe per type; the JSON payload repeats it for plain readers.
-func writeSSE(w http.ResponseWriter, ev Event) error {
-	data, err := encodeEvent(ev)
+func writeSSE(w http.ResponseWriter, ev api.Event) error {
+	data, err := json.Marshal(ev)
 	if err != nil {
 		return err
 	}

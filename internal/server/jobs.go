@@ -9,61 +9,19 @@ import (
 	"sync"
 	"time"
 
+	"alchemist/internal/api"
 	"alchemist/internal/obs"
 	"alchemist/internal/xtrace"
 )
 
-// JobState is the lifecycle of an async job. Transitions are strictly
-// queued → running → (succeeded | failed); failed covers errors,
-// deadline expiry, and cancellation. A job that the journal shows as
-// queued or running after a crash is recovered as interrupted (or
-// re-enqueued when the server opts into requeue-on-recovery).
-type JobState string
-
-const (
-	JobQueued      JobState = "queued"
-	JobRunning     JobState = "running"
-	JobSucceeded   JobState = "succeeded"
-	JobFailed      JobState = "failed"
-	JobInterrupted JobState = "interrupted"
-)
-
-func (st JobState) terminal() bool {
-	return st == JobSucceeded || st == JobFailed || st == JobInterrupted
-}
-
 // validJobState reports whether s names a real state (for the list
 // endpoint's state= filter).
-func validJobState(s JobState) bool {
+func validJobState(s api.JobState) bool {
 	switch s {
-	case JobQueued, JobRunning, JobSucceeded, JobFailed, JobInterrupted:
+	case api.JobQueued, api.JobRunning, api.JobSucceeded, api.JobFailed, api.JobInterrupted:
 		return true
 	}
 	return false
-}
-
-// Event is one entry in a job's ordered event log, streamed to SSE
-// subscribers and replayed to late ones. Seq increases by one per event
-// within a job.
-type Event struct {
-	Seq  int    `json:"seq"`
-	Type string `json:"type"` // "state" or "progress"
-	// State is set on "state" events.
-	State JobState `json:"state,omitempty"`
-	// Error carries the failure message on the terminal "failed" (or
-	// "interrupted") event.
-	Error string `json:"error,omitempty"`
-	// Job, Steps, and TotalSteps are set on "progress" events: the
-	// batch-job index that reported, its executed-step count, and the
-	// step total across every batch job so far.
-	Job        int   `json:"job,omitempty"`
-	Steps      int64 `json:"steps,omitempty"`
-	TotalSteps int64 `json:"total_steps,omitempty"`
-}
-
-// encodeEvent renders one event as its single-line SSE data payload.
-func encodeEvent(ev Event) ([]byte, error) {
-	return json.Marshal(ev)
 }
 
 // job is one async unit of work: its state machine, progress aggregate,
@@ -89,13 +47,13 @@ type job struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	state    JobState
+	state    api.JobState
 	started  time.Time
 	finished time.Time
 	errMsg   string
 	result   json.RawMessage
 
-	events          []Event
+	events          []api.Event
 	progress        obs.Progress
 	lastProgressPub time.Time
 
@@ -154,7 +112,7 @@ func (j *job) journalLocked(rec walRecord) {
 		rec.At = j.created
 		rec.Kind, rec.Request, rec.IdemKey, rec.TraceID = j.kind, j.reqRaw, j.idemKey, j.traceID()
 	}
-	if rec.Event != nil && rec.Event.State.terminal() {
+	if rec.Event != nil && rec.Event.State.Terminal() {
 		rec.StartedAt, rec.FinishedAt, rec.Result = j.started, j.finished, j.result
 	}
 	j.wal.append(rec)
@@ -171,7 +129,7 @@ func newJob(kind string, reqRaw json.RawMessage, idemKey string, wal *walWriter)
 		idemKey: idemKey,
 		reqRaw:  reqRaw,
 		wal:     wal,
-		state:   JobQueued,
+		state:   api.JobQueued,
 	}
 	j.cond = sync.NewCond(&j.mu)
 	return j
@@ -195,13 +153,13 @@ func newJobID() string {
 func (j *job) enqueue() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.publishLocked(Event{Type: "state", State: JobQueued})
+	j.publishLocked(api.Event{Type: "state", State: api.JobQueued})
 }
 
 // publishLocked appends one event, wakes subscribers, and journals it.
 // Callers hold j.mu; the in-memory append happens before the journal
 // write so a snapshot of this job always covers its journaled records.
-func (j *job) publishLocked(ev Event) {
+func (j *job) publishLocked(ev api.Event) {
 	ev.Seq = len(j.events)
 	j.events = append(j.events, ev)
 	j.cond.Broadcast()
@@ -220,9 +178,9 @@ func (j *job) wake() {
 func (j *job) setRunning() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = JobRunning
+	j.state = api.JobRunning
 	j.started = time.Now()
-	j.publishLocked(Event{Type: "state", State: JobRunning})
+	j.publishLocked(api.Event{Type: "state", State: api.JobRunning})
 }
 
 // finish records the terminal state, result, and final progress
@@ -235,10 +193,10 @@ func (j *job) finish(result any, err error) {
 	for _, jp := range j.progress.Snapshot() {
 		j.progress.MarkDone(jp.Job)
 	}
-	ev := Event{Type: "state", State: JobSucceeded}
+	ev := api.Event{Type: "state", State: api.JobSucceeded}
 	if err != nil {
 		j.errMsg = err.Error()
-		ev = Event{Type: "state", State: JobFailed, Error: j.errMsg}
+		ev = api.Event{Type: "state", State: api.JobFailed, Error: j.errMsg}
 	} else if result != nil {
 		if raw, merr := json.Marshal(result); merr == nil {
 			j.result = raw
@@ -268,13 +226,13 @@ func (j *job) traceID() string {
 func (j *job) interrupt(reason string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.terminal() {
+	if j.state.Terminal() {
 		return
 	}
-	j.state = JobInterrupted
+	j.state = api.JobInterrupted
 	j.errMsg = reason
 	j.finished = time.Now()
-	j.publishLocked(Event{Type: "state", State: JobInterrupted, Error: reason})
+	j.publishLocked(api.Event{Type: "state", State: api.JobInterrupted, Error: reason})
 }
 
 // requeue returns a recovered non-terminal job to the queued state for
@@ -282,9 +240,9 @@ func (j *job) interrupt(reason string) {
 func (j *job) requeue() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = JobQueued
+	j.state = api.JobQueued
 	j.started = time.Time{}
-	j.publishLocked(Event{Type: "state", State: JobQueued})
+	j.publishLocked(api.Event{Type: "state", State: api.JobQueued})
 }
 
 // reportProgress feeds one batch job's step report into the progress
@@ -294,7 +252,7 @@ func (j *job) reportProgress(batchJob int, steps int64, minGap time.Duration) {
 	j.progress.Update(batchJob, steps)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.terminal() {
+	if j.state.Terminal() {
 		// A worker's final report can race the terminal event; the
 		// event log must not grow after it.
 		return
@@ -304,7 +262,7 @@ func (j *job) reportProgress(batchJob int, steps int64, minGap time.Duration) {
 		return
 	}
 	j.lastProgressPub = now
-	j.publishLocked(Event{
+	j.publishLocked(api.Event{
 		Type:       "progress",
 		Job:        batchJob,
 		Steps:      steps,
@@ -318,7 +276,7 @@ func (j *job) reportProgress(batchJob int, steps int64, minGap time.Duration) {
 // completes the log of a terminated job (the stream can end), and
 // whether it gave up on the wait — the SSE handler's cue to emit a
 // keepalive comment.
-func (j *job) waitEvents(ctx context.Context, after int, maxWait time.Duration) ([]Event, bool, bool) {
+func (j *job) waitEvents(ctx context.Context, after int, maxWait time.Duration) ([]api.Event, bool, bool) {
 	var deadline time.Time
 	if maxWait > 0 {
 		deadline = time.Now().Add(maxWait)
@@ -329,7 +287,7 @@ func (j *job) waitEvents(ctx context.Context, after int, maxWait time.Duration) 
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for len(j.events) <= after && !j.state.terminal() && ctx.Err() == nil {
+	for len(j.events) <= after && !j.state.Terminal() && ctx.Err() == nil {
 		if maxWait > 0 && !time.Now().Before(deadline) {
 			return nil, false, true
 		}
@@ -338,49 +296,32 @@ func (j *job) waitEvents(ctx context.Context, after int, maxWait time.Duration) 
 	if after >= len(j.events) {
 		// A resumed subscriber can ask for events past the end of a
 		// terminated log; there is nothing left to send.
-		return nil, j.state.terminal(), false
+		return nil, j.state.Terminal(), false
 	}
-	evs := append([]Event(nil), j.events[after:]...)
-	return evs, j.state.terminal() && after+len(evs) == len(j.events), false
-}
-
-// JobStatus is the wire form of a job.
-type JobStatus struct {
-	ID         string            `json:"id"`
-	Kind       string            `json:"kind"`
-	State      JobState          `json:"state"`
-	CreatedAt  time.Time         `json:"created_at"`
-	StartedAt  *time.Time        `json:"started_at,omitempty"`
-	FinishedAt *time.Time        `json:"finished_at,omitempty"`
-	Error      string            `json:"error,omitempty"`
-	Progress   []obs.JobProgress `json:"progress,omitempty"`
-	TotalSteps int64             `json:"total_steps"`
-	Result     any               `json:"result,omitempty"`
-	// TraceID is the job's trace identity; the full span timeline is at
-	// GET /v1/jobs/{id}/trace (and, while retained, /debug/traces).
-	TraceID string `json:"trace_id,omitempty"`
-	// Spans counts the persisted span-timeline entries.
-	Spans int `json:"spans,omitempty"`
-	// IdempotentReplay marks a POST /v1/jobs response that returned an
-	// existing job because its Idempotency-Key had been seen before.
-	IdempotentReplay bool `json:"idempotent_replay,omitempty"`
+	evs := append([]api.Event(nil), j.events[after:]...)
+	return evs, j.state.Terminal() && after+len(evs) == len(j.events), false
 }
 
 // status snapshots the job. withResult controls whether the (possibly
 // large) result payload is included.
-func (j *job) status(withResult bool) JobStatus {
+func (j *job) status(withResult bool) api.JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
+	st := api.JobStatus{
 		ID:         j.id,
 		Kind:       j.kind,
 		State:      j.state,
 		CreatedAt:  j.created,
 		Error:      j.errMsg,
-		Progress:   j.progress.Snapshot(),
 		TotalSteps: j.progress.TotalSteps(),
 		TraceID:    j.traceID(),
 		Spans:      len(j.spans),
+	}
+	if snap := j.progress.Snapshot(); len(snap) > 0 {
+		st.Progress = make([]api.JobProgress, len(snap))
+		for i, jp := range snap {
+			st.Progress[i] = api.JobProgress(jp)
+		}
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -390,7 +331,7 @@ func (j *job) status(withResult bool) JobStatus {
 		t := j.finished
 		st.FinishedAt = &t
 	}
-	if withResult && j.state == JobSucceeded && len(j.result) > 0 {
+	if withResult && j.state == api.JobSucceeded && len(j.result) > 0 {
 		st.Result = j.result
 	}
 	return st
@@ -433,13 +374,13 @@ func (j *job) snapshotEntry() ([]byte, error) {
 func (j *job) expired(now time.Time, ttl time.Duration) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state.terminal() && now.Sub(j.finished) > ttl
+	return j.state.Terminal() && now.Sub(j.finished) > ttl
 }
 
 func (j *job) isTerminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state.terminal()
+	return j.state.Terminal()
 }
 
 // jobStore is the job index with TTL-based retirement, a hard capacity,

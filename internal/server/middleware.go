@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"alchemist/internal/api"
 	"alchemist/internal/xtrace"
 )
 
@@ -220,22 +221,6 @@ const (
 	CodeInternal = "internal"
 )
 
-// ErrorBody is the payload of the uniform error envelope.
-type ErrorBody struct {
-	// Code is one of the Code* enum values.
-	Code string `json:"code"`
-	// Message is the human-readable explanation.
-	Message string `json:"message"`
-	// RetryAfterMS hints when to retry, on queue_saturated errors.
-	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
-}
-
-// apiError is the uniform error envelope: every non-2xx response body
-// is {"error": {"code": ..., "message": ...}}.
-type apiError struct {
-	Error ErrorBody `json:"error"`
-}
-
 // jsonPool hands out encoders of one indentation, each with the buffer
 // it writes into. A pooled buffer keeps its capacity and its encoder
 // the indent scratch, so a warm encoding allocates neither.
@@ -303,7 +288,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // httpError writes the uniform error envelope.
 func httpError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, apiError{Error: ErrorBody{
+	writeJSON(w, status, api.ErrorEnvelope{Error: api.ErrorBody{
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),
 	}})

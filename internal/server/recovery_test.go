@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"alchemist"
+	"alchemist/internal/api"
 	"alchemist/internal/journal"
 	"alchemist/internal/xtrace"
 )
@@ -57,12 +58,12 @@ func TestRecoveryFinishedJobSurvivesRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
 	done := waitState(t, ts1.URL, st.ID)
-	if done.State != JobSucceeded {
+	if done.State != api.JobSucceeded {
 		t.Fatalf("job state = %s, want succeeded (%s)", done.State, done.Error)
 	}
 	ts1.Close()
@@ -81,11 +82,11 @@ func TestRecoveryFinishedJobSurvivesRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("recovered job get = %d: %s", resp.StatusCode, body)
 	}
-	var got JobStatus
+	var got api.JobStatus
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.State != JobSucceeded {
+	if got.State != api.JobSucceeded {
 		t.Errorf("recovered state = %s, want succeeded", got.State)
 	}
 	if got.Result == nil {
@@ -123,7 +124,7 @@ func TestRecoveryInterruptsCrashedJob(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestRecoveryInterruptsCrashedJob(t *testing.T) {
 		t.Fatalf("recovery stats = %+v, want 1 job, 1 interrupted", rec)
 	}
 	got := waitState(t, ts2.URL, st.ID)
-	if got.State != JobInterrupted {
+	if got.State != api.JobInterrupted {
 		t.Errorf("crashed job state = %s, want interrupted", got.State)
 	}
 	if !strings.Contains(got.Error, "interrupted") {
@@ -170,7 +171,7 @@ func TestRecoveryRequeuesCrashedJob(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestRecoveryRequeuesCrashedJob(t *testing.T) {
 		t.Fatalf("recovery stats = %+v, want 1 job requeued", rec)
 	}
 	got := waitState(t, ts2.URL, st.ID)
-	if got.State != JobFailed {
+	if got.State != api.JobFailed {
 		t.Errorf("requeued forever-job state = %s, want failed (deadline)", got.State)
 	}
 	if !strings.Contains(got.Error, "deadline") {
@@ -203,7 +204,7 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestIdempotencyKeyReplay(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newDurableServer(t, dir, nil)
 
-	submit := func(url, key string) (*http.Response, JobStatus) {
+	submit := func(url, key string) (*http.Response, api.JobStatus) {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, url+"/v1/jobs",
 			strings.NewReader(fmt.Sprintf(`{"kind":"run","source":%q}`, tinySrc)))
@@ -259,7 +260,7 @@ func TestIdempotencyKeyReplay(t *testing.T) {
 		}
 		b, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		var st JobStatus
+		var st api.JobStatus
 		if err := json.Unmarshal(b, &st); err != nil {
 			t.Fatalf("bad job body: %v: %s", err, b)
 		}
@@ -318,7 +319,7 @@ func TestJobListPagination(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 		}
-		var st JobStatus
+		var st api.JobStatus
 		if err := json.Unmarshal([]byte(body), &st); err != nil {
 			t.Fatal(err)
 		}
@@ -326,13 +327,13 @@ func TestJobListPagination(t *testing.T) {
 		ids = append(ids, st.ID)
 	}
 
-	list := func(query string) JobListResponse {
+	list := func(query string) api.JobList {
 		t.Helper()
 		resp, body := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs"+query, "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("list%s = %d: %s", query, resp.StatusCode, body)
 		}
-		var out JobListResponse
+		var out api.JobList
 		if err := json.Unmarshal([]byte(body), &out); err != nil {
 			t.Fatal(err)
 		}
@@ -407,14 +408,14 @@ func waitRunning(t *testing.T, base, id string) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("job get: %d %s", resp.StatusCode, body)
 		}
-		var st JobStatus
+		var st api.JobStatus
 		if err := json.Unmarshal([]byte(body), &st); err != nil {
 			t.Fatal(err)
 		}
-		if st.State == JobRunning {
+		if st.State == api.JobRunning {
 			return
 		}
-		if st.State.terminal() {
+		if st.State.Terminal() {
 			t.Fatalf("job reached %s before running could be observed", st.State)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -440,14 +441,14 @@ func TestRecoveryAcrossSnapshots(t *testing.T) {
 				if resp.StatusCode != http.StatusAccepted {
 					t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 				}
-				var st JobStatus
+				var st api.JobStatus
 				if err := json.Unmarshal([]byte(body), &st); err != nil {
 					t.Fatal(err)
 				}
 				ids = append(ids, st.ID)
 			}
 			for _, id := range ids {
-				if st := waitState(t, ts1.URL, id); st.State != JobSucceeded {
+				if st := waitState(t, ts1.URL, id); st.State != api.JobSucceeded {
 					t.Fatalf("job %s = %s (%s), want succeeded", id, st.State, st.Error)
 				}
 			}
@@ -456,9 +457,9 @@ func TestRecoveryAcrossSnapshots(t *testing.T) {
 			// streams go first and status and trace are read after.
 			type view struct {
 				events, trace string
-				status        JobStatus
+				status        api.JobStatus
 			}
-			read := func(base, id string) (st JobStatus, trace string) {
+			read := func(base, id string) (st api.JobStatus, trace string) {
 				t.Helper()
 				resp, body := doJSON(t, http.MethodGet, base+"/v1/jobs/"+id, "")
 				if resp.StatusCode != http.StatusOK {
@@ -525,11 +526,11 @@ func TestRecoveryAcrossSnapshots(t *testing.T) {
 // the snapshot holds its first three, and replay applies each record's
 // seq exactly once.
 func TestReplayStateDedupsSnapshotOverlap(t *testing.T) {
-	ev := func(seq int) *Event { return &Event{Seq: seq, Type: "progress", Steps: int64(100 * (seq + 1))} }
+	ev := func(seq int) *api.Event { return &api.Event{Seq: seq, Type: "progress", Steps: int64(100 * (seq + 1))} }
 	span := func(name string) *xtrace.SpanRecord { return &xtrace.SpanRecord{Name: name} }
 	snap, err := json.Marshal(storeSnapshot{Jobs: []jobSnapshot{{
-		ID: "j1", Kind: "profile", State: JobRunning,
-		Events: []Event{*ev(0), *ev(1)},
+		ID: "j1", Kind: "profile", State: api.JobRunning,
+		Events: []api.Event{*ev(0), *ev(1)},
 		Spans:  []xtrace.SpanRecord{*span("admit")},
 	}}})
 	if err != nil {
@@ -589,7 +590,7 @@ func TestKillDropsInFlightSnapshot(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}

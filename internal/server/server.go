@@ -36,7 +36,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -44,6 +43,7 @@ import (
 	"time"
 
 	"alchemist"
+	"alchemist/internal/api"
 	"alchemist/internal/journal"
 	"alchemist/internal/obs"
 	"alchemist/internal/xtrace"
@@ -137,15 +137,9 @@ type Options struct {
 	// negative publishes every report (tests).
 	ProgressInterval time.Duration
 
-	// AccessLog receives one structured line per request. Nil disables
-	// access logging. When Logger is nil, a text slog handler is built
-	// over this writer; set Logger directly for JSON or custom handlers.
-	AccessLog io.Writer
-
 	// Logger receives structured access-log records and server
 	// diagnostics (panics, scrape-hook failures). Every access record
-	// carries trace_id/span_id/client correlation fields. Overrides
-	// AccessLog when both are set; nil with a nil AccessLog disables
+	// carries trace_id/span_id/client correlation fields. Nil disables
 	// logging.
 	Logger *slog.Logger
 
@@ -229,9 +223,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 4096
 	}
-	if o.Logger == nil && o.AccessLog != nil {
-		o.Logger = slog.New(slog.NewTextHandler(o.AccessLog, nil))
-	}
 	if o.Tracer == nil {
 		o.Tracer = xtrace.NewTracer(xtrace.Options{})
 	}
@@ -274,8 +265,8 @@ type serverMetrics struct {
 }
 
 // routes names every instrumented endpoint; each gets its own latency
-// histogram (the registry has no labels, so the route is part of the
-// metric name).
+// histogram with the route in its name, since the registry's labeled
+// instruments are counters and gauges only.
 var routes = []string{
 	"compile", "profile", "advise", "run",
 	"jobs_create", "jobs_list", "job_get", "job_cancel", "job_events",
@@ -464,7 +455,7 @@ func (s *Server) recoverJobs(snaps []*jobSnapshot) {
 			continue
 		}
 		if s.opts.RequeueOnRecovery {
-			var req JobRequest
+			var req api.JobRequest
 			if err := json.Unmarshal(j.reqRaw, &req); err == nil {
 				if release, ok := s.tryAdmit(); ok {
 					j.requeue()

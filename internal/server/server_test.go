@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"alchemist"
+	"alchemist/internal/api"
 )
 
 const tinySrc = `int main() { return 7; }`
@@ -88,7 +89,7 @@ func post(t *testing.T, url, body string) (*http.Response, string) {
 }
 
 // waitState polls the job until it reaches a terminal state.
-func waitState(t *testing.T, base, id string) JobStatus {
+func waitState(t *testing.T, base, id string) api.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -96,17 +97,17 @@ func waitState(t *testing.T, base, id string) JobStatus {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("job get: %d %s", resp.StatusCode, body)
 		}
-		var st JobStatus
+		var st api.JobStatus
 		if err := json.Unmarshal([]byte(body), &st); err != nil {
 			t.Fatal(err)
 		}
-		if st.State.terminal() {
+		if st.State.Terminal() {
 			return st
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("job did not reach a terminal state in time")
-	return JobStatus{}
+	return api.JobStatus{}
 }
 
 func TestCompileGolden(t *testing.T) {
@@ -115,7 +116,7 @@ func TestCompileGolden(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
-	var cr CompileResponse
+	var cr api.CompileResponse
 	if err := json.Unmarshal([]byte(body), &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -244,21 +245,21 @@ func TestErrorBodiesGolden(t *testing.T) {
 func TestSourceSpecCheckBounds(t *testing.T) {
 	gzipMax := maxScaleFactor * 12000
 	cases := []struct {
-		spec SourceSpec
+		spec api.SourceSpec
 		ok   bool
 	}{
-		{SourceSpec{Source: tinySrc, Inputs: make([][]int64, maxBatchJobs)}, true},
-		{SourceSpec{Source: tinySrc, Inputs: make([][]int64, maxBatchJobs+1)}, false},
-		{SourceSpec{Workload: "gzip", Scales: make([]int, maxScaleFactor)}, true},
-		{SourceSpec{Workload: "gzip", Scales: make([]int, maxScaleFactor+1)}, false},
-		{SourceSpec{Workload: "gzip", Scales: []int{gzipMax}}, true},
-		{SourceSpec{Workload: "gzip", Scales: []int{gzipMax + 1}}, false},
-		{SourceSpec{Workload: "gzip", Scales: []int{gzipMax - 12000, 0}}, true},
-		{SourceSpec{Workload: "gzip", Scales: []int{gzipMax - 12000, 0, 1}}, false},
-		{SourceSpec{Workload: "gzip", Scales: []int{0, -1}}, false},
+		{api.SourceSpec{Source: tinySrc, Inputs: make([][]int64, maxBatchJobs)}, true},
+		{api.SourceSpec{Source: tinySrc, Inputs: make([][]int64, maxBatchJobs+1)}, false},
+		{api.SourceSpec{Workload: "gzip", Scales: make([]int, maxScaleFactor)}, true},
+		{api.SourceSpec{Workload: "gzip", Scales: make([]int, maxScaleFactor+1)}, false},
+		{api.SourceSpec{Workload: "gzip", Scales: []int{gzipMax}}, true},
+		{api.SourceSpec{Workload: "gzip", Scales: []int{gzipMax + 1}}, false},
+		{api.SourceSpec{Workload: "gzip", Scales: []int{gzipMax - 12000, 0}}, true},
+		{api.SourceSpec{Workload: "gzip", Scales: []int{gzipMax - 12000, 0, 1}}, false},
+		{api.SourceSpec{Workload: "gzip", Scales: []int{0, -1}}, false},
 	}
 	for i, tc := range cases {
-		if _, _, _, err := tc.spec.check(); (err == nil) != tc.ok {
+		if _, _, _, err := checkSpec(tc.spec); (err == nil) != tc.ok {
 			t.Errorf("case %d: check err = %v, want ok=%v", i, err, tc.ok)
 		}
 	}
@@ -271,7 +272,7 @@ func TestProfileSync(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
-	var pr ProfileResponse
+	var pr profileResponse
 	if err := json.Unmarshal([]byte(body), &pr); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestAdviseSync(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
-	var ar AdviseResponse
+	var ar api.AdviseResponse
 	if err := json.Unmarshal([]byte(body), &ar); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestRunSync(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
-	var rr RunResponse
+	var rr api.RunResponse
 	if err := json.Unmarshal([]byte(body), &rr); err != nil {
 		t.Fatal(err)
 	}
@@ -356,16 +357,20 @@ func TestSyncResultEqualsJobResult(t *testing.T) {
 			if resp.StatusCode != http.StatusAccepted {
 				t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 			}
-			var st JobStatus
+			var st api.JobStatus
 			if err := json.Unmarshal([]byte(body), &st); err != nil {
 				t.Fatal(err)
 			}
 			fin := waitState(t, ts.URL, st.ID)
-			if fin.State != JobSucceeded {
+			if fin.State != api.JobSucceeded {
 				t.Fatalf("job state = %s err = %q", fin.State, fin.Error)
 			}
-			if !reflect.DeepEqual(fin.Result, want) {
-				t.Errorf("job result differs from the sync body:\njob:  %v\nsync: %v", fin.Result, want)
+			var got any
+			if err := json.Unmarshal(fin.Result, &got); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("job result differs from the sync body:\njob:  %v\nsync: %v", got, want)
 			}
 		})
 	}
@@ -394,7 +399,7 @@ func TestBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +441,7 @@ func TestBackpressure429(t *testing.T) {
 		t.Fatalf("cancel = %d", resp.StatusCode)
 	}
 	fin := waitState(t, ts.URL, st.ID)
-	if fin.State != JobFailed || !strings.Contains(fin.Error, context.Canceled.Error()) {
+	if fin.State != api.JobFailed || !strings.Contains(fin.Error, context.Canceled.Error()) {
 		t.Errorf("cancelled job state = %s err = %q", fin.State, fin.Error)
 	}
 	resp, body = post(t, ts.URL+"/v1/profile", `{"source":"int main() { return 0; }"}`)
@@ -455,15 +460,15 @@ func TestAsyncJobLifecycleAndResult(t *testing.T) {
 	if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, "/v1/jobs/") {
 		t.Errorf("Location = %q", loc)
 	}
-	var st JobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.State != JobQueued && st.State != JobRunning {
+	if st.State != api.JobQueued && st.State != api.JobRunning {
 		t.Errorf("initial state = %s", st.State)
 	}
 	fin := waitState(t, ts.URL, st.ID)
-	if fin.State != JobSucceeded {
+	if fin.State != api.JobSucceeded {
 		t.Fatalf("state = %s err = %q", fin.State, fin.Error)
 	}
 	if fin.Result == nil || fin.TotalSteps == 0 {
@@ -485,15 +490,15 @@ func TestAsyncJobLifecycleAndResult(t *testing.T) {
 }
 
 // parseSSE reads a full SSE stream into events.
-func parseSSE(t *testing.T, r io.Reader) []Event {
+func parseSSE(t *testing.T, r io.Reader) []api.Event {
 	t.Helper()
-	var out []Event
+	var out []api.Event
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		if data, ok := strings.CutPrefix(line, "data: "); ok {
-			var ev Event
+			var ev api.Event
 			if err := json.Unmarshal([]byte(data), &ev); err != nil {
 				t.Fatalf("bad SSE data %q: %v", data, err)
 			}
@@ -513,7 +518,7 @@ func TestSSEEventOrdering(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -537,14 +542,14 @@ func TestSSEEventOrdering(t *testing.T) {
 			t.Errorf("event %d has seq %d; replay must be gapless and ordered", i, ev.Seq)
 		}
 	}
-	if evs[0].Type != "state" || evs[0].State != JobQueued {
+	if evs[0].Type != "state" || evs[0].State != api.JobQueued {
 		t.Errorf("first event = %+v, want state=queued", evs[0])
 	}
-	if evs[1].Type != "state" || evs[1].State != JobRunning {
+	if evs[1].Type != "state" || evs[1].State != api.JobRunning {
 		t.Errorf("second event = %+v, want state=running", evs[1])
 	}
 	last := evs[len(evs)-1]
-	if last.Type != "state" || last.State != JobSucceeded {
+	if last.Type != "state" || last.State != api.JobSucceeded {
 		t.Errorf("last event = %+v, want state=succeeded", last)
 	}
 	var prev int64 = -1
@@ -572,7 +577,7 @@ func TestGracefulShutdownDrainsJobs(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +610,7 @@ func TestGracefulShutdownDrainsJobs(t *testing.T) {
 	if j == nil {
 		t.Fatal("job vanished during drain")
 	}
-	if got := j.status(true); got.State != JobSucceeded {
+	if got := j.status(true); got.State != api.JobSucceeded {
 		t.Errorf("drained job state = %s err = %q, want succeeded", got.State, got.Error)
 	}
 }
@@ -617,7 +622,7 @@ func TestShutdownAbortsOnExpiredContext(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -627,7 +632,7 @@ func TestShutdownAbortsOnExpiredContext(t *testing.T) {
 		t.Error("Shutdown with expired context should report the aborted drain")
 	}
 	j := s.store.get(st.ID)
-	if got := j.status(false); got.State != JobFailed {
+	if got := j.status(false); got.State != api.JobFailed {
 		t.Errorf("aborted job state = %s, want failed", got.State)
 	}
 }
@@ -674,7 +679,7 @@ func TestMetricsEndpointSurfacesServerMetrics(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st api.JobStatus
 	json.Unmarshal([]byte(body), &st)
 	post(t, ts.URL+"/v1/profile", `{"source":"int main() { return 0; }"}`) // 429
 

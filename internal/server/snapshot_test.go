@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"alchemist"
+	"alchemist/internal/api"
 	"alchemist/internal/journal"
 	"alchemist/internal/xtrace"
 )
@@ -35,7 +36,7 @@ func referenceSnapshot(t *testing.T, s *jobStore) []byte {
 			FinishedAt: j.finished,
 			Error:      j.errMsg,
 			Result:     j.result,
-			Events:     append([]Event(nil), j.events...),
+			Events:     append([]api.Event(nil), j.events...),
 			Spans:      append([]xtrace.SpanRecord(nil), j.spans...),
 			TraceID:    j.traceID(),
 			IdemKey:    j.idemKey,

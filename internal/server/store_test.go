@@ -12,6 +12,7 @@ import (
 	"weak"
 
 	"alchemist"
+	"alchemist/internal/api"
 )
 
 // referenceSweep is the retirement rule of the store's single full
@@ -69,7 +70,7 @@ func TestJobStoreRetiresLikeReferenceSweep(t *testing.T) {
 		k := rng.Intn(len(unfinished))
 		j := unfinished[k]
 		unfinished = slices.Delete(unfinished, k, k+1)
-		if j.state == JobQueued {
+		if j.state == api.JobQueued {
 			j.setRunning()
 		}
 		j.finish(nil, nil)
@@ -139,7 +140,7 @@ func TestJobStoreRetiresLikeReferenceSweep(t *testing.T) {
 		expired := make(map[string]bool)
 		for _, j := range store.order {
 			j.mu.Lock()
-			if j.state.terminal() && rng.Intn(3) == 0 {
+			if j.state.Terminal() && rng.Intn(3) == 0 {
 				j.finished = now.Add(-2 * store.ttl)
 				expired[j.id] = true
 			}
@@ -254,7 +255,7 @@ func TestRecoveryRetiresExpiredJobs(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newDurableServer(t, dir, nil)
 	id := submitJob(t, ts1.URL, fmt.Sprintf(`{"kind":"run","source":%q}`, tinySrc), nil)
-	if st := waitState(t, ts1.URL, id); st.State != JobSucceeded {
+	if st := waitState(t, ts1.URL, id); st.State != api.JobSucceeded {
 		t.Fatalf("job = %s (%s), want succeeded", st.State, st.Error)
 	}
 	ts1.Close()

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"alchemist"
+	"alchemist/internal/api"
 	"alchemist/internal/journal"
 )
 
@@ -48,7 +49,7 @@ func submitJob(t *testing.T, base, body string, header map[string]string) string
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st JobStatus
+	var st api.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job create = %d (%v)", resp.StatusCode, err)
 	}
@@ -66,7 +67,7 @@ func TestJobJournalIsOneStream(t *testing.T) {
 	id := submitJob(t, ts.URL, `{"kind":"profile","workload":"aes","scales":[256,512]}`,
 		map[string]string{"Idempotency-Key": "stream-key"})
 	st := waitState(t, ts.URL, id)
-	if st.State != JobSucceeded {
+	if st.State != api.JobSucceeded {
 		t.Fatalf("job = %s (%s), want succeeded", st.State, st.Error)
 	}
 	ts.Close()
@@ -97,7 +98,7 @@ func TestJobJournalIsOneStream(t *testing.T) {
 	}
 
 	first := recs[0]
-	if ev := first.Event; ev == nil || ev.State != JobQueued {
+	if ev := first.Event; ev == nil || ev.State != api.JobQueued {
 		t.Fatalf("the first record is not the queued event: %+v", first)
 	}
 	if first.Kind != "profile" || !bytes.Equal(first.Request, j.reqRaw) ||
@@ -110,7 +111,7 @@ func TestJobJournalIsOneStream(t *testing.T) {
 
 	terminal := -1
 	for i, r := range recs {
-		if r.Event != nil && r.Event.State.terminal() {
+		if r.Event != nil && r.Event.State.Terminal() {
 			terminal = i
 		}
 	}
@@ -118,7 +119,7 @@ func TestJobJournalIsOneStream(t *testing.T) {
 		t.Fatal("no terminal event was journaled")
 	}
 	done := recs[terminal]
-	if done.Event.State != JobSucceeded || !done.StartedAt.Equal(*st.StartedAt) ||
+	if done.Event.State != api.JobSucceeded || !done.StartedAt.Equal(*st.StartedAt) ||
 		!done.FinishedAt.Equal(*st.FinishedAt) || !bytes.Equal(done.Result, j.result) || len(done.Result) == 0 {
 		t.Errorf("the terminal event does not carry the outcome: %+v", done)
 	}
@@ -164,14 +165,14 @@ func TestReplayFromEverySnapshotPoint(t *testing.T) {
 	}
 	s1, ts1 := newDurableServer(t, dir, opts)
 	ok := submitJob(t, ts1.URL, `{"kind":"profile","workload":"aes","scales":[256,512]}`, nil)
-	if st := waitState(t, ts1.URL, ok); st.State != JobSucceeded {
+	if st := waitState(t, ts1.URL, ok); st.State != api.JobSucceeded {
 		t.Fatalf("profile job = %s (%s), want succeeded", st.State, st.Error)
 	}
 	if resp, body := doJSON(t, http.MethodGet, ts1.URL+"/v1/jobs/"+ok+"/events", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("events = %d: %s", resp.StatusCode, body)
 	}
 	failed := submitJob(t, ts1.URL, fmt.Sprintf(`{"kind":"run","source":%q,"timeout_ms":20}`, foreverSrc), nil)
-	if st := waitState(t, ts1.URL, failed); st.State != JobFailed {
+	if st := waitState(t, ts1.URL, failed); st.State != api.JobFailed {
 		t.Fatalf("run job = %s, want failed by its deadline", st.State)
 	}
 	running := submitJob(t, ts1.URL, fmt.Sprintf(`{"kind":"run","source":%q,"timeout_ms":60000}`, foreverSrc), nil)
@@ -196,8 +197,8 @@ func TestReplayFromEverySnapshotPoint(t *testing.T) {
 		return jobs
 	}
 	want := replay(nil, records)
-	if len(want) != 2 || want[0].ID != failed || want[0].State != JobFailed ||
-		want[1].ID != running || want[1].State != JobInterrupted {
+	if len(want) != 2 || want[0].ID != failed || want[0].State != api.JobFailed ||
+		want[1].ID != running || want[1].State != api.JobInterrupted {
 		t.Fatalf("replay of all %d records does not hold the failed and the interrupted job", len(records))
 	}
 	for k := 0; k <= len(records); k++ {
@@ -287,7 +288,7 @@ func TestOlderServerSnapshot(t *testing.T) {
 				t.Fatalf("restart %d: recovery = %+v, want the snapshot's finished job", restart, rec)
 			}
 			st := waitState(t, ts.URL, id)
-			if st.State != JobSucceeded || st.Result == nil || st.Spans != 1+restart {
+			if st.State != api.JobSucceeded || st.Result == nil || st.Spans != 1+restart {
 				t.Fatalf("restart %d: job = %+v, want succeeded with its result and %d spans", restart, st, 1+restart)
 			}
 			// Reading the event stream journals an sse span as today's

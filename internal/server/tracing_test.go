@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"alchemist/client"
+	"alchemist/internal/api"
 	"alchemist/internal/faultinject"
 	"alchemist/internal/xtrace"
 )
@@ -334,7 +335,7 @@ func TestTraceTimelineSurvivesCrashRecovery(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -343,17 +344,17 @@ func TestTraceTimelineSurvivesCrashRecovery(t *testing.T) {
 	if st.TraceID == "" {
 		t.Fatal("job status carries no trace_id")
 	}
-	if done := waitState(t, ts1.URL, st.ID); done.State != JobSucceeded {
+	if done := waitState(t, ts1.URL, st.ID); done.State != api.JobSucceeded {
 		t.Fatalf("job state = %s, want succeeded (%s)", done.State, done.Error)
 	}
 
-	fetchTrace := func(base string) JobTraceResponse {
+	fetchTrace := func(base string) api.JobTrace {
 		t.Helper()
 		resp, body := doJSON(t, http.MethodGet, base+"/v1/jobs/"+st.ID+"/trace", "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("job trace = %d: %s", resp.StatusCode, body)
 		}
-		var tr JobTraceResponse
+		var tr api.JobTrace
 		if err := json.Unmarshal([]byte(body), &tr); err != nil {
 			t.Fatal(err)
 		}

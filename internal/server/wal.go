@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"alchemist/internal/api"
 	"alchemist/internal/journal"
 	"alchemist/internal/xtrace"
 )
@@ -38,7 +39,7 @@ type walRecord struct {
 	IdemKey string          `json:"idem_key,omitempty"`
 	TraceID string          `json:"trace_id,omitempty"`
 
-	Event *Event             `json:"event,omitempty"`
+	Event *api.Event         `json:"event,omitempty"`
 	Span  *xtrace.SpanRecord `json:"span,omitempty"`
 
 	// The terminal event carries the outcome.
@@ -52,13 +53,13 @@ type walRecord struct {
 type jobSnapshot struct {
 	ID         string              `json:"id"`
 	Kind       string              `json:"kind"`
-	State      JobState            `json:"state"`
+	State      api.JobState        `json:"state"`
 	CreatedAt  time.Time           `json:"created_at"`
 	StartedAt  time.Time           `json:"started_at,omitzero"`
 	FinishedAt time.Time           `json:"finished_at,omitzero"`
 	Error      string              `json:"error,omitempty"`
 	Result     json.RawMessage     `json:"result,omitempty"`
-	Events     []Event             `json:"events,omitempty"`
+	Events     []api.Event         `json:"events,omitempty"`
 	Spans      []xtrace.SpanRecord `json:"spans,omitempty"`
 	TraceID    string              `json:"trace_id,omitempty"`
 	IdemKey    string              `json:"idem_key,omitempty"`
@@ -221,7 +222,7 @@ func replayState(rec *journal.Recovery) ([]*jobSnapshot, error) {
 		js := byID[r.ID]
 		if js == nil && r.Seq == 0 {
 			js = &jobSnapshot{
-				ID: r.ID, Kind: r.Kind, State: JobQueued,
+				ID: r.ID, Kind: r.Kind, State: api.JobQueued,
 				CreatedAt: r.At, IdemKey: r.IdemKey, Request: r.Request,
 				TraceID: r.TraceID,
 			}
@@ -248,9 +249,9 @@ func replayState(rec *journal.Recovery) ([]*jobSnapshot, error) {
 			js.Error = ev.Error
 		}
 		switch {
-		case ev.State == JobRunning:
+		case ev.State == api.JobRunning:
 			js.StartedAt = r.At
-		case ev.State.terminal():
+		case ev.State.Terminal():
 			js.StartedAt, js.FinishedAt, js.Result = r.StartedAt, r.FinishedAt, r.Result
 		}
 	}
@@ -295,7 +296,7 @@ func restoreJob(js *jobSnapshot, wal *walWriter) *job {
 			j.progress.Update(ev.Job, ev.Steps)
 		}
 	}
-	if js.State == JobSucceeded {
+	if js.State == api.JobSucceeded {
 		for _, jp := range j.progress.Snapshot() {
 			j.progress.MarkDone(jp.Job)
 		}

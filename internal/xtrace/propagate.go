@@ -14,7 +14,7 @@ const TraceparentHeader = "traceparent"
 // Traceparent formats a propagation header for sc:
 // version 00, sampled flag set.
 func Traceparent(sc SpanContext) string {
-	return fmt.Sprintf("00-%s-%s-01", sc.TraceID, sc.SpanID)
+	return "00-" + sc.TraceID.String() + "-" + sc.SpanID.String() + "-01"
 }
 
 // ParseTraceparent parses a W3C traceparent header. Unknown versions

@@ -174,20 +174,6 @@ func (s *Span) SetAttr(key, value string) {
 	s.attrs[key] = value
 }
 
-// SetStart backdates the span's start (for intervals that began before
-// the span object existed, like queue waits measured from job
-// creation). Calls after End are dropped.
-func (s *Span) SetStart(t time.Time) {
-	if s == nil || t.IsZero() {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ended {
-		s.start = t
-	}
-}
-
 // End closes the span, delivering its record to the tracer's retention
 // and to the attached Recorder, if any. End is idempotent; only the
 // first call records.

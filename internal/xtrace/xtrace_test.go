@@ -85,8 +85,6 @@ func TestSpanLifecycle(t *testing.T) {
 	}
 	child.SetAttr("k", "v")
 	child.SetAttr("k", "v2")
-	back := time.Now().Add(-time.Hour)
-	child.SetStart(back)
 	child.End()
 	child.End() // idempotent
 	child.SetAttr("late", "dropped")
@@ -112,12 +110,6 @@ func TestSpanLifecycle(t *testing.T) {
 	if c.Attrs["k"] != "v2" || c.Attrs["late"] != "" {
 		t.Fatalf("attrs: %v", c.Attrs)
 	}
-	if !c.Start.Equal(back) {
-		t.Fatalf("SetStart not honored: %v", c.Start)
-	}
-	if c.DurationMS < 59*60*1000 {
-		t.Fatalf("backdated duration too small: %v ms", c.DurationMS)
-	}
 	if c.End.Before(c.Start) {
 		t.Fatal("end before start")
 	}
@@ -130,7 +122,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var sp *Span
 	sp.SetAttr("a", "b")
-	sp.SetStart(time.Now())
 	sp.End()
 	if sp.TraceID() != "" || sp.SpanID() != "" || sp.Context().Valid() {
 		t.Fatal("nil span accessors must return zero values")
