@@ -233,30 +233,8 @@ func TestEngineScratchAccounting(t *testing.T) {
 		t.Errorf("pool allocated = %d, want > 0", got)
 	}
 
-	// Runs keep their VM memory in the same scratches; a Parallel run
-	// takes none.
-	runs := make([]alchemist.RunJob, jobCount)
-	for i := range runs {
-		runs[i] = alchemist.RunJob{Input: []int64{int64(i)}}
-	}
-	if _, err := eng.RunBatch(ctx, prog, runs); err != nil {
-		t.Fatal(err)
-	}
-	for _, parallel := range []bool{false, true} {
-		if _, err := eng.Run(ctx, prog, alchemist.RunConfig{Input: []int64{3}, Parallel: parallel}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gets = counter(reg, "alchemist_engine_scratch_gets_total")
-	puts = counter(reg, "alchemist_engine_scratch_puts_total")
-	if want := int64(2*jobCount + 1); gets != want || puts != want {
-		t.Errorf("after a RunBatch and two Runs: scratch gets = %d puts = %d, want both %d", gets, puts, want)
-	}
-	if got := counter(reg, "alchemist_engine_scratch_news_total"); got != news {
-		t.Errorf("runs made scratch: news = %d, was %d", got, news)
-	}
-
-	// Hold one job on every worker at once, so the free list fills.
+	// Hold one job on every worker at once, so the free list fills: the
+	// checks below then hold whichever worker each later job lands on.
 	long, err := eng.Compile(ctx, "long.mc",
 		`int main() { int s = 0; for (int i = 0; i < 30000; i++) { s += in(i % inlen()); } out(s); return 0; }`)
 	if err != nil {
@@ -278,6 +256,29 @@ func TestEngineScratchAccounting(t *testing.T) {
 	}
 	if news = counter(reg, "alchemist_engine_scratch_news_total"); news != workers {
 		t.Fatalf("scratch news = %d after %d jobs at once, want %d", news, workers, workers)
+	}
+
+	// Runs keep their VM memory in the same scratches; a Parallel run
+	// takes none.
+	runs := make([]alchemist.RunJob, jobCount)
+	for i := range runs {
+		runs[i] = alchemist.RunJob{Input: []int64{int64(i)}}
+	}
+	if _, err := eng.RunBatch(ctx, prog, runs); err != nil {
+		t.Fatal(err)
+	}
+	for _, parallel := range []bool{false, true} {
+		if _, err := eng.Run(ctx, prog, alchemist.RunConfig{Input: []int64{3}, Parallel: parallel}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gets = counter(reg, "alchemist_engine_scratch_gets_total")
+	puts = counter(reg, "alchemist_engine_scratch_puts_total")
+	if want := int64(2*jobCount + workers + 1); gets != want || puts != want {
+		t.Errorf("after a RunBatch and two Runs: scratch gets = %d puts = %d, want both %d", gets, puts, want)
+	}
+	if got := counter(reg, "alchemist_engine_scratch_news_total"); got != news {
+		t.Errorf("runs made scratch: news = %d, was %d", got, news)
 	}
 
 	runtime.GC()

@@ -118,7 +118,7 @@ func CompileConfig(info *sema.Info, cfg Config) (*ir.Program, error) {
 
 // annotateConstructs computes, for every branch, the global PC at which
 // its construct closes: the first instruction of the branch block's
-// immediate post-dominator.
+// immediate post-dominator. It marks that instruction Pops.
 func annotateConstructs(p *ir.Program) {
 	for _, f := range p.Funcs {
 		g := cfg.New(f)
@@ -135,6 +135,7 @@ func annotateConstructs(p *ir.Program) {
 				continue
 			}
 			in.PopPC = f.GPC(g.Blocks[ip].Start)
+			f.Code[g.Blocks[ip].Start].Pops = true
 		}
 	}
 }

@@ -1,10 +1,14 @@
 package compile_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"alchemist/internal/compile"
 	"alchemist/internal/ir"
+	"alchemist/internal/progs"
 	"alchemist/internal/vm"
 )
 
@@ -394,5 +398,66 @@ func TestCompileErrorsSurface(t *testing.T) {
 	// Oversized global array trips the compile-time layout check.
 	if _, err := compile.Build("big.mc", `int g[999999999]; int main() { return 0; }`); err == nil {
 		t.Error("oversized global accepted")
+	}
+}
+
+// TestPopsMarksExactlyThePopPCs: an instruction is marked Pops exactly
+// when some branch's PopPC names it, across every workload (optimized or
+// not, sequential and parallel sources) and every testdata program. A
+// clocked profiler sees rule 5 only at marked instructions, so a missing
+// mark would leave a construct open and a stray one would cost a call.
+func TestPopsMarksExactlyThePopPCs(t *testing.T) {
+	type source struct{ name, src string }
+	var srcs []source
+	for _, w := range progs.All() {
+		srcs = append(srcs, source{w.Name, w.Source})
+		if w.HasParallel() {
+			srcs = append(srcs, source{w.Name + "_par", w.ParSource})
+		}
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.mc"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("testdata programs: %v, %d found", err, len(files))
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, source{filepath.Base(f), string(b)})
+	}
+	for _, s := range srcs {
+		for _, optimize := range []bool{false, true} {
+			p, err := compile.BuildConfig(s.name+".mc", s.src, compile.Config{Optimize: optimize})
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			named := make([]bool, p.NumPCs)
+			for _, f := range p.Funcs {
+				for _, in := range f.Code {
+					if in.Op == ir.OpBr && in.PopPC != ir.NoPopPC {
+						named[in.PopPC] = true
+					}
+				}
+			}
+			marked := 0
+			for _, f := range p.Funcs {
+				for i, in := range f.Code {
+					if in.Pops != named[f.GPC(i)] {
+						t.Errorf("%s (optimize=%v): pc %d (%s) Pops = %v, named by a PopPC = %v",
+							s.name, optimize, f.GPC(i), in.Op, in.Pops, named[f.GPC(i)])
+					}
+					if in.Pops {
+						marked++
+					}
+				}
+			}
+			if marked == 0 {
+				t.Errorf("%s (optimize=%v): no instruction marked Pops", s.name, optimize)
+			}
+		}
+	}
+	if n := unsafe.Sizeof(ir.Instr{}); n != 144 {
+		t.Errorf("ir.Instr is %d bytes, want 144: Pops must fit beside Op", n)
 	}
 }

@@ -258,7 +258,7 @@ func (p *Profiler) finalize() *Profile {
 	n := len(p.profiles) - 1
 	out := &Profile{
 		Program:           prog,
-		TotalSteps:        p.time,
+		TotalSteps:        *p.now,
 		StaticConstructs:  int64(n),
 		DynamicConstructs: p.dynamic,
 		NestDirect:        make(map[uint64]int64, len(p.nests)-1),

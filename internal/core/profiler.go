@@ -51,8 +51,12 @@ func DefaultOptions() Options {
 	return Options{TrackWAR: true, TrackWAW: true, TrackNesting: true}
 }
 
-// Profiler implements vm.Tracer. Create one with NewProfiler, pass it as
+// Profiler implements vm.Clocked. Create one with NewProfiler, pass it as
 // Config.Tracer to a sequential VM, run the program, then call Finish.
+// The VM lends it the run's instruction clock and calls Step only at the
+// instructions that close constructs. A caller that feeds events by hand,
+// or a wrapper that does not forward UseClock, must call Step before
+// every instruction instead: the profiler then counts time itself.
 //
 // Every PC an event carries must lie in [0, prog.NumPCs), as the VM's
 // always do: the profiler indexes its tables by PC and does not check.
@@ -61,11 +65,14 @@ type Profiler struct {
 	prog *ir.Program
 	opts Options
 
-	time int64
+	// now is the clock every event reads: the VM's step counter once
+	// UseClock lends it, else ticks, which Step advances.
+	now   *int64
+	ticks int64
 
 	// IDS: the execution index stack. frames[i] is the stack index of the
 	// i-th active procedure construct.
-	stack  []*indexing.Construct
+	stack  []open
 	frames []int
 
 	pool   *indexing.Pool
@@ -89,7 +96,14 @@ type Profiler struct {
 	dynamic    int64
 }
 
-var _ vm.Tracer = (*Profiler)(nil)
+// open is one active construct instance on the index stack: its pool
+// node, its profiles index, and the PC at which rule 5 closes it
+// (ir.NoPopPC when only its function's exit does).
+type open struct {
+	node, slot, popPC int32
+}
+
+var _ vm.Clocked = (*Profiler)(nil)
 
 // NewProfiler builds a profiler for prog whose VM uses memWords of flat
 // memory.
@@ -115,9 +129,10 @@ func NewProfiler(prog *ir.Program, memWords int64, opts Options) *Profiler {
 	}
 	pool.DisableReuse = opts.DisablePoolReuse
 	n := prog.NumPCs
-	return &Profiler{
+	p := &Profiler{
 		prog:       prog,
 		opts:       opts,
+		stack:      make([]open, 0, 16),
 		pool:       pool,
 		shadow:     mem,
 		numPCs:     n,
@@ -128,10 +143,18 @@ func NewProfiler(prog *ir.Program, memWords int64, opts Options) *Profiler {
 		cells:      make([]edgeCell, 1),
 		nests:      make([]nestCell, 1),
 	}
+	p.now = &p.ticks
+	return p
 }
 
+// UseClock makes steps the profiler's clock: the VM's count of executed
+// instructions, which it advances before every instruction's events.
+// From then on Step no longer counts time and is needed only at the
+// instructions marked ir.Instr.Pops.
+func (p *Profiler) UseClock(steps *int64) { p.now = steps }
+
 // Time returns the current timestamp (executed instructions).
-func (p *Profiler) Time() int64 { return p.time }
+func (p *Profiler) Time() int64 { return *p.now }
 
 // Depth returns the current index-stack depth (active constructs).
 func (p *Profiler) Depth() int { return len(p.stack) }
@@ -149,20 +172,19 @@ func (p *Profiler) Finish() *Profile {
 // slot returns the profiles index of a label already pushed.
 func (p *Profiler) slot(label int32) int32 { return p.slots[int(label)+p.numPCs] }
 
-// top returns the innermost active construct (nil only before main's
-// EnterFunc).
+// top returns the node of the innermost active construct (nil only
+// before main's EnterFunc).
 func (p *Profiler) top() *indexing.Construct {
 	if len(p.stack) == 0 {
 		return nil
 	}
-	return p.stack[len(p.stack)-1]
+	return p.pool.At(p.stack[len(p.stack)-1].node)
 }
 
 // push enters a new construct instance (Table I IDS.push).
 func (p *Profiler) push(label int, kind indexing.Kind, popPC int) {
 	parent := p.top()
-	c := p.pool.Acquire(p.time, label, kind, popPC, parent)
-	p.stack = append(p.stack, c)
+	c := p.pool.Acquire(*p.now, label, parent)
 	p.dynamic++
 	s := p.slots[label+p.numPCs]
 	if s == 0 {
@@ -172,8 +194,9 @@ func (p *Profiler) push(label int, kind indexing.Kind, popPC int) {
 	}
 	p.profiles[s].nesting++
 	if p.opts.TrackNesting && parent != nil {
-		p.countNest(s, p.slot(parent.Label))
+		p.countNest(s, p.stack[len(p.stack)-1].slot)
 	}
+	p.stack = append(p.stack, open{node: c.Index(), slot: s, popPC: int32(popPC)})
 }
 
 // countNest counts one instance of construct slot child pushed directly
@@ -195,10 +218,11 @@ func (p *Profiler) countNest(child, parent int32) {
 // node to the pool for lazy retirement.
 func (p *Profiler) popTop() {
 	n := len(p.stack) - 1
-	c := p.stack[n]
+	top := p.stack[n]
 	p.stack = p.stack[:n]
-	c.Texit = p.time
-	cp := &p.profiles[p.slot(c.Label)]
+	c := p.pool.At(top.node)
+	c.Texit = *p.now
+	cp := &p.profiles[top.slot]
 	cp.nesting--
 	if cp.nesting == 0 {
 		dur := c.Texit - c.Tenter
@@ -226,14 +250,12 @@ func (p *Profiler) popDownThrough(idx int) {
 
 // ---------- vm.Tracer ----------
 
-// Step advances time and applies rule 5: close every construct whose
-// immediate post-dominator is this instruction.
+// Step applies rule 5: close every construct whose immediate
+// post-dominator is this instruction. It also advances the profiler's own
+// clock, which events read until UseClock replaces it.
 func (p *Profiler) Step(gpc int) {
-	p.time++
-	for n := len(p.stack); n > 0; n = len(p.stack) {
-		if int(p.stack[n-1].PopPC) != gpc {
-			return
-		}
+	p.ticks++
+	for n := len(p.stack); n > 0 && int(p.stack[n-1].popPC) == gpc; n = len(p.stack) {
 		p.popTop()
 	}
 }
@@ -290,8 +312,9 @@ func (p *Profiler) Branch(in *ir.Instr, gpc int, taken bool) {
 	if len(p.frames) > 0 {
 		frame = p.frames[len(p.frames)-1]
 	}
+	s := p.slots[gpc+p.numPCs] // 0, which no open construct has, before gpc's first push
 	for i := len(p.stack) - 1; i > frame; i-- {
-		if int(p.stack[i].Label) == gpc {
+		if p.stack[i].slot == s {
 			p.popDownThrough(i)
 			break
 		}
@@ -303,7 +326,7 @@ func (p *Profiler) Branch(in *ir.Instr, gpc int, taken bool) {
 // RAW dependence ending here.
 func (p *Profiler) Load(addr int64, gpc int) {
 	node := p.top()
-	w, ok := p.shadow.Load(addr, int32(gpc), p.time, node)
+	w, ok := p.shadow.Load(addr, int32(gpc), *p.now, node)
 	if ok {
 		p.profileDep(RAW, w.PC, w.Node, w.Time, int32(gpc))
 	}
@@ -314,10 +337,10 @@ func (p *Profiler) Load(addr int64, gpc int) {
 func (p *Profiler) Store(addr int64, gpc int) {
 	node := p.top()
 	if !p.opts.TrackWAR && !p.opts.TrackWAW {
-		p.shadow.Store(addr, int32(gpc), p.time, node)
+		p.shadow.Store(addr, int32(gpc), *p.now, node)
 		return
 	}
-	prev, hadPrev, readers := p.shadow.Store(addr, int32(gpc), p.time, node)
+	prev, hadPrev, readers := p.shadow.Store(addr, int32(gpc), *p.now, node)
 	if p.opts.TrackWAW && hadPrev {
 		p.profileDep(WAW, prev.PC, prev.Node, prev.Time, int32(gpc))
 	}
@@ -343,7 +366,7 @@ func (p *Profiler) profileDep(t DepType, headPC int32, headNode int32, headTime 
 	if c == nil || !c.InWindow(headTime) {
 		return
 	}
-	dist := p.time - headTime
+	dist := *p.now - headTime
 	e := p.edgeID(headPC, tailPC, t)
 	next := p.edges[e].cells
 	for ; c != nil && c.InWindow(headTime); c = p.pool.At(c.Parent) {

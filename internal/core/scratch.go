@@ -25,7 +25,7 @@ type Scratch struct {
 }
 
 // Bytes reports the storage the Scratch holds: VM memory words, shadow
-// pages and overflow blocks, and construct-pool chunks and ring.
+// pages and overflow blocks, and construct-pool chunks.
 func (s *Scratch) Bytes() int64 {
 	b := 8 * int64(cap(s.mem))
 	if s.shadow != nil {

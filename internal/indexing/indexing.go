@@ -45,7 +45,7 @@ func (k Kind) String() string {
 // Construct is one dynamic construct instance; a node of the execution
 // index tree. Nodes live in the pool's slab and name each other by pool
 // index, so they hold no pointers and the garbage collector never scans
-// them.
+// them. A node is 32 bytes.
 type Construct struct {
 	// Tenter is the timestamp when the instance started.
 	Tenter int64
@@ -55,18 +55,15 @@ type Construct struct {
 	// Label is the global PC of the construct head: the function entry PC
 	// or the predicate branch PC.
 	Label int32
-	// PopPC is the global PC of the instruction that closes this
-	// construct (the predicate's immediate post-dominator), or a negative
-	// value when it closes only at function exit.
-	PopPC int32
 	// Parent is the pool index of the enclosing construct instance (see
 	// Pool.At), 0 for none. Parents may be recycled later; consumers must
 	// re-validate with InWindow before trusting a parent's identity.
 	Parent int32
 	// index is the node's own pool index; 0 outside a pool.
 	index int32
-	// Kind classifies the construct.
-	Kind Kind
+	// next is the pool index of the node released after this one, while
+	// the node waits in the pool's FIFO; 0 at the tail.
+	next int32
 }
 
 // Index returns the node's pool index, or 0 (no node) for nil or a node
@@ -88,7 +85,7 @@ func (c *Construct) InWindow(t int64) bool {
 }
 
 func (c *Construct) String() string {
-	return fmt.Sprintf("%s@%d[%d,%d)", c.Kind, c.Label, c.Tenter, c.Texit)
+	return fmt.Sprintf("@%d[%d,%d)", c.Label, c.Tenter, c.Texit)
 }
 
 // PoolStats reports pool behaviour for Theorem 1 validation and ablation.
@@ -102,7 +99,7 @@ type PoolStats struct {
 	Rotations int64
 }
 
-// chunkBits sets the slab chunk: 1<<chunkBits nodes (160 KiB).
+// chunkBits sets the slab chunk: 1<<chunkBits nodes (128 KiB).
 const (
 	chunkBits = 12
 	chunkMask = 1<<chunkBits - 1
@@ -113,21 +110,21 @@ const (
 // longest-dead nodes) and recycles the first retirable one.
 //
 // The FIFO is the preallocated nodes not yet handed out, followed by the
-// ring of released nodes. A preallocated node has an empty window, so it
-// is always retirable: while any remain, acquisition takes the next one
-// without probing the ring. Preallocated and fresh nodes alike come from
-// the slab in index order, so the slab grows one fixed-size chunk at a
-// time, and only as far as the nodes a run has handed out.
+// released nodes, which queue through their own next links. A
+// preallocated node has an empty window, so it is always retirable: while
+// any remain, acquisition takes the next one without probing the queue.
+// Preallocated and fresh nodes alike come from the slab in index order,
+// so the slab grows one fixed-size chunk at a time, and only as far as
+// the nodes a run has handed out.
 type Pool struct {
-	// chunks is the slab: node i is chunks[i>>chunkBits][i&chunkMask].
-	// Index 0 is never handed out; it stands for "no node".
+	// chunks is the slab: node i is chunks[(i-1)>>chunkBits][(i-1)&chunkMask].
+	// Index 0 stands for "no node".
 	chunks [][]Construct
 	used   int32 // nodes handed out since NewPool or Reset
 	spare  int   // preallocated nodes not yet handed out
 
-	ring  []int32 // released nodes, a ring buffer
-	head  int
-	count int
+	head, tail int32 // released nodes, oldest first; 0 when none
+	count      int
 
 	// MaxProbe bounds how many head nodes are examined per acquisition
 	// before giving up and allocating fresh (default 32).
@@ -155,22 +152,21 @@ func NewPool(prealloc int) *Pool {
 func (p *Pool) Stats() PoolStats { return p.stats }
 
 // Reset prepares the pool for a fresh run whose clock restarts at zero,
-// leaving it exactly as NewPool(prealloc) would while keeping the slab
-// and ring memory. Every node handed out before is forgotten, so the
-// caller must drop its references to them (the profiler resets its
-// shadow memory with the pool).
+// leaving it exactly as NewPool(prealloc) would while keeping the slab.
+// Every node handed out before is forgotten, so the caller must drop its
+// references to them (the profiler resets its shadow memory with the
+// pool).
 func (p *Pool) Reset(prealloc int) {
 	p.used = 0
 	p.spare = max(prealloc, 0)
-	p.head, p.count = 0, 0
+	p.head, p.tail, p.count = 0, 0, 0
 	p.stats = PoolStats{Allocated: int64(p.spare)}
 }
 
-// Held returns the bytes of storage the pool holds, whichever runs
-// allocated it: the slab chunks and the release ring.
+// Held returns the bytes of slab the pool holds, whichever runs
+// allocated it.
 func (p *Pool) Held() int64 {
-	return int64(len(p.chunks))*int64(unsafe.Sizeof([1 << chunkBits]Construct{})) +
-		int64(cap(p.ring))*int64(unsafe.Sizeof(int32(0)))
+	return int64(len(p.chunks)) * int64(unsafe.Sizeof([1 << chunkBits]Construct{}))
 }
 
 // Live returns the number of nodes currently sitting in the pool.
@@ -181,18 +177,19 @@ func (p *Pool) At(i int32) *Construct {
 	if i == 0 {
 		return nil
 	}
+	i--
 	return &p.chunks[i>>chunkBits][i&chunkMask]
 }
 
 // next hands out the slab's next unused node.
 func (p *Pool) next() *Construct {
-	p.used++
 	i := p.used
+	p.used++
 	if int(i>>chunkBits) == len(p.chunks) {
 		p.chunks = append(p.chunks, make([]Construct, 1<<chunkBits))
 	}
 	c := &p.chunks[i>>chunkBits][i&chunkMask]
-	c.index = i
+	c.index = p.used
 	return c
 }
 
@@ -202,31 +199,33 @@ func retirable(c *Construct, now int64) bool {
 	return now-c.Texit >= c.Texit-c.Tenter
 }
 
-func (p *Pool) popHead() int32 {
-	i := p.ring[p.head]
-	p.head = (p.head + 1) % len(p.ring)
+// popHead unlinks the oldest released node.
+func (p *Pool) popHead() *Construct {
+	c := p.At(p.head)
+	p.head = c.next
+	if p.head == 0 {
+		p.tail = 0
+	}
 	p.count--
-	return i
+	return c
 }
 
-func (p *Pool) push(i int32) {
-	if p.count == len(p.ring) {
-		// Grow the ring.
-		grown := make([]int32, max(4, 2*len(p.ring)))
-		for j := 0; j < p.count; j++ {
-			grown[j] = p.ring[(p.head+j)%len(p.ring)]
-		}
-		p.ring = grown
-		p.head = 0
+// push queues c behind the newest released node.
+func (p *Pool) push(c *Construct) {
+	c.next = 0
+	if p.tail == 0 {
+		p.head = c.index
+	} else {
+		p.At(p.tail).next = c.index
 	}
-	p.ring[(p.head+p.count)%len(p.ring)] = i
+	p.tail = c.index
 	p.count++
 }
 
 // Acquire returns an initialized construct node for a construct headed at
 // label, entering at time now (timestamps are never negative) with the
 // given parent (nil for none).
-func (p *Pool) Acquire(now int64, label int, kind Kind, popPC int, parent *Construct) *Construct {
+func (p *Pool) Acquire(now int64, label int, parent *Construct) *Construct {
 	var c *Construct
 	probes := p.MaxProbe
 	if probes <= 0 {
@@ -242,14 +241,14 @@ func (p *Pool) Acquire(now int64, label int, kind Kind, popPC int, parent *Const
 		c = p.next()
 	}
 	for i := 0; c == nil && i < probes && p.count > 0; i++ {
-		cand := p.At(p.popHead())
+		cand := p.popHead()
 		if retirable(cand, now) {
 			c = cand
 			p.stats.Reused++
 			break
 		}
 		// Still hot: rotate to the tail and try the next-oldest.
-		p.push(cand.index)
+		p.push(cand)
 		p.stats.Rotations++
 	}
 	if c == nil {
@@ -257,15 +256,13 @@ func (p *Pool) Acquire(now int64, label int, kind Kind, popPC int, parent *Const
 		p.stats.Allocated++
 	}
 	c.Label = int32(label)
-	c.Kind = kind
 	c.Tenter = now
 	c.Texit = 0
 	c.Parent = parent.Index()
-	c.PopPC = int32(popPC)
 	return c
 }
 
 // Release returns a completed node to the pool tail (lazy retiring: reuse
 // is attempted from the head, so a node stays referenceable as long as
 // possible).
-func (p *Pool) Release(c *Construct) { p.push(c.index) }
+func (p *Pool) Release(c *Construct) { p.push(c) }

@@ -3,21 +3,17 @@ package indexing
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAcquireInitializes(t *testing.T) {
 	p := NewPool(0)
-	parent := p.Acquire(10, 100, KindFunc, NoPop, nil)
-	c := p.Acquire(12, 200, KindLoop, 55, parent)
-	if c.Label != 200 || c.Kind != KindLoop || c.Tenter != 12 || c.Texit != 0 ||
-		p.At(c.Parent) != parent || c.PopPC != 55 {
+	parent := p.Acquire(10, 100, nil)
+	c := p.Acquire(12, 200, parent)
+	if c.Label != 200 || c.Tenter != 12 || c.Texit != 0 || p.At(c.Parent) != parent {
 		t.Errorf("acquired node wrong: %+v", c)
 	}
 }
-
-// NoPop mirrors ir.NoPopPC without importing ir (avoiding a dependency
-// from this leaf package's tests).
-const NoPop = -1
 
 func TestInWindow(t *testing.T) {
 	c := &Construct{Tenter: 10, Texit: 20}
@@ -39,12 +35,12 @@ func TestInWindow(t *testing.T) {
 
 func TestLazyRetirement(t *testing.T) {
 	p := NewPool(0)
-	c := p.Acquire(0, 1, KindLoop, NoPop, nil)
+	c := p.Acquire(0, 1, nil)
 	c.Texit = 100 // lived [0,100): needs to stay dead until t=200
 	p.Release(c)
 
 	// Too early: the node must not be recycled.
-	c2 := p.Acquire(150, 2, KindLoop, NoPop, nil)
+	c2 := p.Acquire(150, 2, nil)
 	if c2 == c {
 		t.Fatal("node recycled before its retirement window")
 	}
@@ -52,7 +48,7 @@ func TestLazyRetirement(t *testing.T) {
 	p.Release(c2)
 
 	// At t=200 the first node has been dead exactly as long as it lived.
-	c3 := p.Acquire(200, 3, KindLoop, NoPop, nil)
+	c3 := p.Acquire(200, 3, nil)
 	if c3 != c && c3 != c2 {
 		t.Fatal("no node recycled after the retirement window")
 	}
@@ -62,7 +58,7 @@ func TestPoolFIFOOrder(t *testing.T) {
 	p := NewPool(0)
 	var nodes []*Construct
 	for i := 0; i < 5; i++ {
-		c := p.Acquire(int64(i), i, KindCond, NoPop, nil)
+		c := p.Acquire(int64(i), i, nil)
 		c.Texit = c.Tenter + 1
 		nodes = append(nodes, c)
 	}
@@ -71,7 +67,7 @@ func TestPoolFIFOOrder(t *testing.T) {
 	}
 	// All are retirable far in the future; reuse comes from the head
 	// (oldest release first).
-	got := p.Acquire(1000, 99, KindCond, NoPop, nil)
+	got := p.Acquire(1000, 99, nil)
 	if got != nodes[0] {
 		t.Error("reuse did not come from the pool head")
 	}
@@ -79,13 +75,13 @@ func TestPoolFIFOOrder(t *testing.T) {
 
 func TestRotation(t *testing.T) {
 	p := NewPool(0)
-	hot := p.Acquire(0, 1, KindLoop, NoPop, nil)
+	hot := p.Acquire(0, 1, nil)
 	hot.Texit = 1000 // dead at t=1000 after living 1000: hot until t=2000
-	cold := p.Acquire(1000, 2, KindLoop, NoPop, nil)
+	cold := p.Acquire(1000, 2, nil)
 	cold.Texit = 1001 // lived 1 step: retirable at t=1002
 	p.Release(hot)
 	p.Release(cold)
-	got := p.Acquire(1500, 3, KindLoop, NoPop, nil)
+	got := p.Acquire(1500, 3, nil)
 	if got != cold {
 		t.Error("probe did not skip the hot head and reuse the cold node")
 	}
@@ -97,10 +93,10 @@ func TestRotation(t *testing.T) {
 func TestDisableReuse(t *testing.T) {
 	p := NewPool(0)
 	p.DisableReuse = true
-	c := p.Acquire(0, 1, KindLoop, NoPop, nil)
+	c := p.Acquire(0, 1, nil)
 	c.Texit = 1
 	p.Release(c)
-	c2 := p.Acquire(1000, 2, KindLoop, NoPop, nil)
+	c2 := p.Acquire(1000, 2, nil)
 	if c2 == c {
 		t.Error("DisableReuse recycled a node")
 	}
@@ -115,7 +111,7 @@ func TestPrealloc(t *testing.T) {
 		t.Errorf("Live = %d", p.Live())
 	}
 	// Fresh preallocated nodes are immediately reusable.
-	c := p.Acquire(0, 1, KindFunc, NoPop, nil)
+	c := p.Acquire(0, 1, nil)
 	if c == nil {
 		t.Fatal("nil node")
 	}
@@ -142,7 +138,7 @@ func TestRetirementInvariant(t *testing.T) {
 			n = len(gaps)
 		}
 		for i := 0; i < n; i++ {
-			c := p.Acquire(now, i, KindLoop, NoPop, nil)
+			c := p.Acquire(now, i, nil)
 			// If the node was recycled, check the invariant against its
 			// previous lifetime.
 			if prev, ok := live[c]; ok {
@@ -163,12 +159,12 @@ func TestRetirementInvariant(t *testing.T) {
 	}
 }
 
-func TestRingGrowthPreservesOrder(t *testing.T) {
+func TestReleaseQueuePreservesOrder(t *testing.T) {
 	p := NewPool(0)
 	var nodes []*Construct
-	// Force multiple ring growths.
+	// Queue more released nodes than one probe reaches.
 	for i := 0; i < 100; i++ {
-		c := p.Acquire(int64(i), i, KindCond, NoPop, nil)
+		c := p.Acquire(int64(i), i, nil)
 		c.Tenter, c.Texit = int64(i), int64(i)+1
 		nodes = append(nodes, c)
 	}
@@ -180,7 +176,7 @@ func TestRingGrowthPreservesOrder(t *testing.T) {
 	}
 	// Drain; order must be FIFO.
 	for i := 0; i < 100; i++ {
-		got := p.Acquire(1_000_000, 999, KindCond, NoPop, nil)
+		got := p.Acquire(1_000_000, 999, nil)
 		if got != nodes[i] {
 			t.Fatalf("drain position %d: wrong node", i)
 		}
@@ -197,8 +193,39 @@ func TestKindString(t *testing.T) {
 }
 
 func TestConstructString(t *testing.T) {
-	c := &Construct{Label: 5, Kind: KindLoop, Tenter: 1, Texit: 9}
-	if c.String() != "loop@5[1,9)" {
+	c := &Construct{Label: 5, Tenter: 1, Texit: 9}
+	if c.String() != "@5[1,9)" {
 		t.Errorf("String = %q", c.String())
+	}
+}
+
+// TestConstructIs32Bytes: a node holds two timestamps and four int32s,
+// so a chunk of 4,096 nodes is 128 KiB.
+func TestConstructIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Construct{}); n != 32 {
+		t.Errorf("Construct is %d bytes, want 32", n)
+	}
+}
+
+// TestHeldIsChunksOnly: the profiler's default pool of 65,536 nodes,
+// every one handed out and released, takes exactly 16 chunks (2 MiB), and
+// the pool holds nothing beside them.
+func TestHeldIsChunksOnly(t *testing.T) {
+	p := NewPool(1 << 16)
+	var nodes []*Construct
+	for i := 0; i < 1<<16; i++ {
+		c := p.Acquire(int64(i), i, nil)
+		c.Texit = c.Tenter + 1
+		nodes = append(nodes, c)
+	}
+	for _, c := range nodes {
+		p.Release(c)
+	}
+	const chunk = 1 << chunkBits * 32
+	if got, want := p.Held(), int64(16*chunk); got != want {
+		t.Errorf("Held = %d bytes after 65,536 nodes, want %d (16 chunks)", got, want)
+	}
+	if p.Live() != 1<<16 {
+		t.Errorf("Live = %d, want 65536", p.Live())
 	}
 }

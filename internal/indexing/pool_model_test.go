@@ -91,7 +91,7 @@ func TestPoolMatchesFIFOModel(t *testing.T) {
 				if len(active) > 0 {
 					parent = active[len(active)-1].c
 				}
-				c := p.Acquire(now, int(op.Pick), KindLoop, NoPop, parent)
+				c := p.Acquire(now, int(op.Pick), parent)
 				n := m.acquire(now)
 				if c.Tenter != now || c.Texit != 0 || c.Parent != parent.Index() || p.At(c.Index()) != c {
 					return false

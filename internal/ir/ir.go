@@ -109,7 +109,10 @@ const NoPopPC = -1
 
 // Instr is a single bytecode instruction.
 type Instr struct {
-	Op      Op
+	Op Op
+	// Pops marks an instruction that some predicate's PopPC names: the
+	// only instructions where rule 5 can close a construct.
+	Pops    bool
 	A, B, C int   // register operands (A is usually the destination)
 	Imm     int64 // immediate (constants, global addresses, string index)
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"runtime/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -512,17 +513,22 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		hasCursor = true
 	}
 
+	// The list is in cursor order, and a job's creation time and id never
+	// change, so the jobs after the cursor are a suffix of it. Only the
+	// jobs of the page, and the one that shows another page follows,
+	// pay for a status.
+	jobs := s.store.list()
+	if hasCursor {
+		jobs = jobs[sort.Search(len(jobs), func(i int) bool {
+			ns := jobs[i].created.UnixNano()
+			return ns > afterNS || ns == afterNS && jobs[i].id > afterID
+		}):]
+	}
 	out := api.JobList{Jobs: make([]api.JobStatus, 0, limit)}
-	for _, j := range s.store.list() {
-		st := j.status(false)
-		if filter != "" && st.State != filter {
+	for _, j := range jobs {
+		st, ok := j.listStatus(filter)
+		if !ok {
 			continue
-		}
-		if hasCursor {
-			ns := st.CreatedAt.UnixNano()
-			if ns < afterNS || (ns == afterNS && st.ID <= afterID) {
-				continue
-			}
 		}
 		if len(out.Jobs) == limit {
 			out.NextPageToken = encodeCursor(out.Jobs[limit-1])

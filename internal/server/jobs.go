@@ -307,6 +307,21 @@ func (j *job) waitEvents(ctx context.Context, after int, maxWait time.Duration) 
 func (j *job) status(withResult bool) api.JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked(withResult)
+}
+
+// listStatus returns the job's status without its result, unless a
+// filter is given and the job, under the same lock, is in another state.
+func (j *job) listStatus(filter api.JobState) (api.JobStatus, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if filter != "" && j.state != filter {
+		return api.JobStatus{}, false
+	}
+	return j.statusLocked(false), true
+}
+
+func (j *job) statusLocked(withResult bool) api.JobStatus {
 	st := api.JobStatus{
 		ID:         j.id,
 		Kind:       j.kind,
@@ -453,15 +468,16 @@ func (s *jobStore) getIdem(key string) *job {
 	return s.byIdem[key]
 }
 
-// list returns every stored job in the API's stable order: creation
-// time ascending, ties broken by id.
+// list returns every stored job in the API's stable order, which is the
+// order of page cursors: creation time in Unix nanoseconds ascending,
+// ties broken by id.
 func (s *jobStore) list() []*job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := append([]*job(nil), s.order...)
 	sort.SliceStable(out, func(i, k int) bool {
-		if !out[i].created.Equal(out[k].created) {
-			return out[i].created.Before(out[k].created)
+		if a, b := out[i].created.UnixNano(), out[k].created.UnixNano(); a != b {
+			return a < b
 		}
 		return out[i].id < out[k].id
 	})

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"slices"
 	"testing"
@@ -270,5 +272,101 @@ func TestRecoveryRetiresExpiredJobs(t *testing.T) {
 	}
 	if resp, body := doJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/"+id, ""); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("expired job after restart = %d: %s", resp.StatusCode, body)
+	}
+}
+
+// referenceJobList is the job-list loop that built a status for every
+// job up to the page, filtered it, and checked it against the cursor.
+func referenceJobList(store *jobStore, filter api.JobState, limit int, tok string) api.JobList {
+	var afterNS int64
+	var afterID string
+	hasCursor := tok != ""
+	if hasCursor {
+		afterNS, afterID, _ = decodeCursor(tok)
+	}
+	out := api.JobList{Jobs: make([]api.JobStatus, 0, limit)}
+	for _, j := range store.list() {
+		st := j.status(false)
+		if filter != "" && st.State != filter {
+			continue
+		}
+		if hasCursor {
+			ns := st.CreatedAt.UnixNano()
+			if ns < afterNS || (ns == afterNS && st.ID <= afterID) {
+				continue
+			}
+		}
+		if len(out.Jobs) == limit {
+			out.NextPageToken = encodeCursor(out.Jobs[limit-1])
+			break
+		}
+		out.Jobs = append(out.Jobs, st)
+	}
+	return out
+}
+
+// TestJobListPageCostsOnlyThePage: over a store of 20,000 finished jobs,
+// every page of a walk, unfiltered and filtered, is byte for byte the
+// reference loop's page, and the last page of 100 jobs allocates at most
+// twice what the first does. The reference loop built a status for every
+// job before the page: its last page cost about a hundred times its
+// first.
+func TestJobListPageCostsOnlyThePage(t *testing.T) {
+	const n = 20000
+	store := finishedStore(t, n)
+	s := &Server{adm: newAdmission(Options{}), store: store}
+	get := func(query string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		s.handleJobList(rr, httptest.NewRequest(http.MethodGet, "/v1/jobs"+query, nil))
+		return rr
+	}
+	check := func(filter api.JobState, limit int, tok string) api.JobList {
+		t.Helper()
+		q := fmt.Sprintf("?limit=%d", limit)
+		if filter != "" {
+			q += "&state=" + string(filter)
+		}
+		if tok != "" {
+			q += "&page_token=" + tok
+		}
+		got := get(q)
+		ref := referenceJobList(store, filter, limit, tok)
+		want := httptest.NewRecorder()
+		writeJSON(want, http.StatusOK, ref)
+		if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("list%s: %d, %d bytes; reference %d bytes", q, got.Code, got.Body.Len(), want.Body.Len())
+		}
+		return ref
+	}
+	for _, c := range []struct {
+		filter api.JobState
+		pages  int
+	}{{"", n / maxListLimit}, {api.JobSucceeded, n / maxListLimit}, {api.JobFailed, 1}} {
+		tok := ""
+		pages := 0
+		for {
+			page := check(c.filter, maxListLimit, tok)
+			pages++
+			if tok = page.NextPageToken; tok == "" {
+				break
+			}
+		}
+		if pages != c.pages {
+			t.Errorf("state %q: %d pages, want %d", c.filter, pages, c.pages)
+		}
+	}
+
+	const limit = 100
+	jobs := store.list()
+	last := encodeCursor(jobs[n-limit-1].status(false))
+	if page := check("", limit, last); len(page.Jobs) != limit || page.NextPageToken != "" {
+		t.Fatalf("last page: %d jobs, next token %q", len(page.Jobs), page.NextPageToken)
+	}
+	check("", limit, "")
+	first := testing.AllocsPerRun(3, func() { get(fmt.Sprintf("?limit=%d", limit)) })
+	lastAllocs := testing.AllocsPerRun(3, func() { get(fmt.Sprintf("?limit=%d&page_token=%s", limit, last)) })
+	t.Logf("page of %d jobs: first %.0f allocations, last %.0f", limit, first, lastAllocs)
+	if lastAllocs > 2*first {
+		t.Errorf("last page of %d jobs: %.0f allocations, first page %.0f", limit, lastAllocs, first)
 	}
 }

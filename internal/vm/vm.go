@@ -46,10 +46,12 @@ const CancelCheckInterval = 4096
 const DefaultMemWords = 1 << 22
 
 // Tracer receives execution events from the VM. Implementations must be
-// fast; Step fires for every instruction. Tracers are only supported in
-// sequential mode.
+// fast: unless the tracer is Clocked, Step fires for every instruction.
+// Tracers are only supported in plain sequential mode (neither Parallel
+// nor SimWorkers).
 type Tracer interface {
 	// Step fires before each instruction executes; gpc is the global PC.
+	// A Clocked tracer gets it only at instructions marked ir.Instr.Pops.
 	Step(gpc int)
 	// Load fires for each tracked-memory read.
 	Load(addr int64, gpc int)
@@ -61,6 +63,19 @@ type Tracer interface {
 	ExitFunc(f *ir.Func)
 	// Branch fires after a conditional branch resolves.
 	Branch(in *ir.Instr, gpc int, taken bool)
+}
+
+// Clocked is a Tracer that reads time from the VM instead of counting
+// Steps. Before the first event, the run lends it its step counter, which
+// counts the instructions executed so far, the current one included, at
+// every event. The VM then calls Step only at instructions marked
+// ir.Instr.Pops.
+type Clocked interface {
+	Tracer
+	// UseClock lends the tracer the run's step counter. The counter is
+	// valid until the run returns; read it only from the VM's events or
+	// after the run.
+	UseClock(steps *int64)
 }
 
 // Config parameterizes a VM instance.
@@ -96,7 +111,8 @@ type Config struct {
 	// Opteron) on machines without spare cores, and is exactly
 	// reproducible. Mutually exclusive with Parallel.
 	SimWorkers int
-	// Tracer observes execution (sequential mode only).
+	// Tracer observes execution (plain sequential mode only: not with
+	// Parallel or SimWorkers).
 	Tracer Tracer
 	// Seed initializes the deterministic PRNG behind rand().
 	Seed uint64
@@ -158,6 +174,9 @@ type VM struct {
 	input  []int64
 	out    io.Writer
 	tracer Tracer
+	// everyStep is set unless tracer is Clocked: such a tracer needs
+	// Step before every instruction.
+	everyStep bool
 
 	rngMu sync.Mutex
 	rng   uint64
@@ -191,6 +210,11 @@ func New(p *ir.Program, cfg Config) (*VM, error) {
 	if cfg.Parallel && cfg.SimWorkers > 0 {
 		return nil, errors.New("vm: Parallel and SimWorkers are mutually exclusive")
 	}
+	if cfg.SimWorkers > 0 && cfg.Tracer != nil {
+		// A simulated spawn runs on its own execCtx, whose step count is
+		// not the run's clock.
+		return nil, errors.New("vm: tracing is not supported with SimWorkers")
+	}
 	if cfg.Out == nil {
 		cfg.Out = io.Discard
 	}
@@ -209,6 +233,7 @@ func New(p *ir.Program, cfg Config) (*VM, error) {
 		mem = make([]int64, p.GlobalWords)
 	}
 	cfg.Mem = nil // the run owns the buffer; do not pin it past a growth
+	_, clocked := cfg.Tracer.(Clocked)
 	vm := &VM{
 		prog:      p,
 		cfg:       cfg,
@@ -217,6 +242,7 @@ func New(p *ir.Program, cfg Config) (*VM, error) {
 		input:     cfg.Input,
 		out:       cfg.Out,
 		tracer:    cfg.Tracer,
+		everyStep: !clocked,
 		rng:       seed,
 	}
 	// Install global scalar initializers.
@@ -281,6 +307,9 @@ func (vm *VM) RunCtx(ctx context.Context) (*Result, error) {
 		}
 	}
 	ex := vm.newExecCtx(ctx)
+	if c, ok := vm.tracer.(Clocked); ok {
+		c.UseClock(&ex.steps)
+	}
 	ret, err := vm.runFrame(vm.prog.Main, ex.regs.push(vm.prog.Main.NumRegs), ex)
 	totalSteps := ex.steps + atomic.LoadInt64(&vm.parSteps)
 	if err == nil {
@@ -591,7 +620,7 @@ func (vm *VM) runFrame(f *ir.Func, regs []int64, ex *execCtx) (int64, error) {
 				return 0, err
 			}
 		}
-		if t != nil {
+		if t != nil && (vm.everyStep || in.Pops) {
 			t.Step(base + pc)
 		}
 		switch in.Op {
